@@ -6,7 +6,7 @@
 #include <map>
 #include <set>
 
-#include "sparql/expr_eval.h"
+#include "core/solution_modifiers.h"
 #include "sparql/serializer.h"
 
 namespace lusail::baselines {
@@ -180,7 +180,8 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
         continue;
       }
       size_t g = fetches[i].group;
-      fed::AppendUnion(&group_tables[g], fed::InternTable(*part, dict));
+      core::AppendUnionIds(&group_tables[g],
+                           core::EncodeResultTable(*part, dict));
       track_peak();
       if (--outstanding[g] == 0) {
         ready.push_back(std::move(group_tables[g]));
@@ -227,7 +228,7 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
       LUSAIL_ASSIGN_OR_RETURN(
           BindingTable branch,
           ExecutePattern(alt, dict, metrics, deadline, profile));
-      fed::AppendUnion(&unioned, branch);
+      core::AppendUnionIds(&unioned, branch);
     }
     if (table.vars.empty() && table.NumRows() == 0 && pattern.triples.empty()) {
       table = std::move(unioned);
@@ -239,10 +240,10 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
     LUSAIL_ASSIGN_OR_RETURN(
         BindingTable right,
         ExecutePattern(opt, dict, metrics, deadline, profile));
-    table = fed::LeftOuterJoin(table, right);
+    table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : residual_filters) {
-    fed::FilterRows(&table, f, *dict);
+    core::FilterIds(&table, f, *dict);
   }
   profile->peak_intermediate_rows = std::max(
       profile->peak_intermediate_rows,
@@ -268,56 +269,9 @@ Result<fed::FederatedResult> AnapsidEngine::Execute(
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
 
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    const sparql::CountAggregate& agg = *query.aggregate;
-    uint64_t count = 0;
-    if (!agg.var.has_value()) {
-      count = table.NumRows();
-    } else {
-      int idx = table.VarIndex(agg.var->name);
-      if (idx >= 0) {
-        std::set<rdf::TermId> seen;
-        for (rdf::TermId id : table.Column(static_cast<size_t>(idx))) {
-          if (id == rdf::kInvalidTermId) continue;
-          if (agg.distinct) {
-            seen.insert(id);
-          } else {
-            ++count;
-          }
-        }
-        if (agg.distinct) count = seen.size();
-      }
-    }
-    result.table.vars.push_back(agg.alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table = core::DecodeIdTable(
+      core::FinishSolutions(std::move(table_or).value(), query, &dict), dict);
 
   metrics.FillCounters(&result.profile);
   result.profile.total_ms = total_timer.ElapsedMillis();

@@ -1,13 +1,12 @@
 #include "baselines/fedx_engine.h"
 
-#include "sparql/expr_eval.h"
-
 #include <algorithm>
 #include <future>
 #include <map>
 #include <set>
 #include <unordered_set>
 
+#include "core/solution_modifiers.h"
 #include "sparql/serializer.h"
 
 namespace lusail::baselines {
@@ -190,6 +189,11 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   for (const std::string& v : op_vars) {
     if (table.VarIndex(v) >= 0) shared.push_back(v);
   }
+  auto join = [left_outer](const BindingTable& left,
+                           const BindingTable& right) {
+    return left_outer ? core::JoinIds(left, right, /*left_outer=*/true)
+                      : fed::HashJoin(left, right);
+  };
 
   auto fetch_all = [&]() -> Result<BindingTable> {
     // No bindings to ship: fetch the operand fully from all its sources.
@@ -201,7 +205,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
           sparql::ResultTable part,
           federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                deadline, Retry()));
-      fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+      core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
     }
     return fetched;
   };
@@ -212,8 +216,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   }
   if (shared.empty()) {
     LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return left_outer ? fed::LeftOuterJoin(table, fetched)
-                      : fed::HashJoin(table, fetched);
+    return join(table, fetched);
   }
 
   // Distinct binding tuples of the shared variables.
@@ -239,8 +242,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   }
   if (distinct.empty()) {
     LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return left_outer ? fed::LeftOuterJoin(table, fetched)
-                      : fed::HashJoin(table, fetched);
+    return join(table, fetched);
   }
 
   // Ship the bindings block by block to every relevant source,
@@ -276,18 +278,16 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
           sparql::ResultTable part,
           federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                deadline, Retry()));
-      fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+      core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
     }
     if (result_cap.has_value()) {
       // LIMIT shortcut: stop shipping blocks once enough joined results
       // exist (FedX's first-N termination; see the paper's C4 discussion).
-      BindingTable probe = left_outer ? fed::LeftOuterJoin(table, fetched)
-                                      : fed::HashJoin(table, fetched);
+      BindingTable probe = join(table, fetched);
       if (probe.NumRows() >= *result_cap) return probe;
     }
   }
-  return left_outer ? fed::LeftOuterJoin(table, fetched)
-                    : fed::HashJoin(table, fetched);
+  return join(table, fetched);
 }
 
 Result<BindingTable> FedXEngine::ExecutePattern(
@@ -348,7 +348,7 @@ Result<BindingTable> FedXEngine::ExecutePattern(
       LUSAIL_ASSIGN_OR_RETURN(
           BindingTable branch,
           ExecutePattern(alt, std::nullopt, dict, metrics, deadline, profile));
-      fed::AppendUnion(&unioned, branch);
+      core::AppendUnionIds(&unioned, branch);
     }
     if (table.vars.empty() && table.NumRows() == 0 && pattern.triples.empty()) {
       table = std::move(unioned);
@@ -360,14 +360,14 @@ Result<BindingTable> FedXEngine::ExecutePattern(
     LUSAIL_ASSIGN_OR_RETURN(
         BindingTable right,
         ExecutePattern(opt, std::nullopt, dict, metrics, deadline, profile));
-    table = fed::LeftOuterJoin(table, right);
+    table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : residual_filters) {
-    fed::FilterRows(&table, f, *dict);
+    core::FilterIds(&table, f, *dict);
   }
   if (pattern.triples.empty()) {
     for (const sparql::Expr& f : pattern.filters) {
-      fed::FilterRows(&table, f, *dict);
+      core::FilterIds(&table, f, *dict);
     }
   }
   // VALUES blocks.
@@ -399,11 +399,7 @@ Result<fed::FederatedResult> FedXEngine::Execute(
   fed::QueryTrace trace(options_.trace, name(), &metrics);
   fed::SharedDictionary dict;
 
-  std::optional<uint64_t> cap;
-  if (query.limit.has_value() && !query.distinct &&
-      !query.aggregate.has_value()) {
-    cap = *query.limit + query.offset.value_or(0);
-  }
+  std::optional<uint64_t> cap = core::LimitPushdownBound(query);
 
   Result<BindingTable> table_or =
       ExecutePattern(query.where, cap, &dict, &metrics, deadline,
@@ -413,57 +409,9 @@ Result<fed::FederatedResult> FedXEngine::Execute(
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
 
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    const sparql::CountAggregate& agg = *query.aggregate;
-    uint64_t count = 0;
-    if (!agg.var.has_value()) {
-      count = table.NumRows();
-    } else {
-      int idx = table.VarIndex(agg.var->name);
-      if (idx >= 0) {
-        std::set<rdf::TermId> seen;
-        for (rdf::TermId id : table.Column(static_cast<size_t>(idx))) {
-          if (id == rdf::kInvalidTermId) continue;
-          if (agg.distinct) {
-            seen.insert(id);
-          } else {
-            ++count;
-          }
-        }
-        if (agg.distinct) count = seen.size();
-      }
-    }
-    result.table.vars.push_back(agg.alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      // Sort the decoded full result, then cut the LIMIT/OFFSET window.
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table = core::DecodeIdTable(
+      core::FinishSolutions(std::move(table_or).value(), query, &dict), dict);
 
   metrics.FillCounters(&result.profile);
   result.profile.total_ms = total_timer.ElapsedMillis();

@@ -1,11 +1,10 @@
 #include "baselines/splendid_engine.h"
 
-#include "sparql/expr_eval.h"
-
 #include <algorithm>
 #include <set>
 
 #include "common/stopwatch.h"
+#include "core/solution_modifiers.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/serializer.h"
 
@@ -227,7 +226,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
               sparql::ResultTable part,
               federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                    deadline));
-          fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+          core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
         }
       }
     } else {
@@ -238,7 +237,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
             sparql::ResultTable part,
             federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                  deadline));
-        fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+        core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
       }
     }
     // Memory-footprint proxy: the running result plus the freshly
@@ -258,10 +257,10 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     LUSAIL_ASSIGN_OR_RETURN(
         BindingTable right,
         ExecutePattern(opt, dict, metrics, deadline, profile));
-    table = fed::LeftOuterJoin(table, right);
+    table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : pattern.filters) {
-    fed::FilterRows(&table, f, *dict);
+    core::FilterIds(&table, f, *dict);
   }
   profile->execution_ms += timer.ElapsedMillis();
   return table;
@@ -284,39 +283,9 @@ Result<fed::FederatedResult> SplendidEngine::Execute(
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
 
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    uint64_t count = table.NumRows();
-    result.table.vars.push_back(query.aggregate->alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      // Sort the decoded full result, then cut the LIMIT/OFFSET window.
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table = core::DecodeIdTable(
+      core::FinishSolutions(std::move(table_or).value(), query, &dict), dict);
 
   metrics.FillCounters(&result.profile);
   result.profile.total_ms = total_timer.ElapsedMillis();

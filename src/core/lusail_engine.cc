@@ -1,11 +1,11 @@
 #include "core/lusail_engine.h"
 
-#include "sparql/expr_eval.h"
-
 #include <algorithm>
+#include <limits>
 
 #include "core/hash_join.h"
 #include "core/join_optimizer.h"
+#include "core/solution_modifiers.h"
 
 namespace lusail::core {
 
@@ -20,6 +20,13 @@ std::set<std::string> NeededVars(const sparql::Query& query) {
   }
   if (query.aggregate.has_value() && query.aggregate->var.has_value()) {
     needed.insert(query.aggregate->var->name);
+  }
+  // ORDER BY keys outside the SELECT list reach FinishSolutions as hidden
+  // columns, except under DISTINCT, where they are not carried.
+  if (!query.distinct) {
+    for (const sparql::OrderKey& key : query.order_by) {
+      needed.insert(key.var.name);
+    }
   }
   return needed;
 }
@@ -372,7 +379,7 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
 
   BindingTable result = std::move(table).value();
   for (const sparql::Expr& f : decomposition.global_filters) {
-    fed::FilterRows(&result, f, *dict);
+    FilterIds(&result, f, *dict);
   }
   profile->execution_ms += timer.ElapsedMillis();
   return result;
@@ -464,7 +471,7 @@ Result<BindingTable> LusailEngine::ExecutePattern(
         LUSAIL_ASSIGN_OR_RETURN(
             BindingTable branch,
             ExecutePattern(alt, bgp_needed, dict, metrics, cancel, profile));
-        fed::AppendUnion(&unioned, branch);
+        AppendUnionIds(&unioned, branch);
       }
       table = ParallelHashJoin(table, unioned, &pool_,
                                options_.join_partitions, &cancel);
@@ -474,11 +481,11 @@ Result<BindingTable> LusailEngine::ExecutePattern(
       LUSAIL_ASSIGN_OR_RETURN(
           BindingTable right,
           ExecutePattern(*opt, bgp_needed, dict, metrics, cancel, profile));
-      table = fed::LeftOuterJoin(table, right);
+      table = JoinIds(table, right, /*left_outer=*/true);
     }
     Stopwatch filter_timer;
     for (const sparql::Expr& f : residual_filters) {
-      fed::FilterRows(&table, f, *dict);
+      FilterIds(&table, f, *dict);
     }
     profile->execution_ms += filter_timer.ElapsedMillis();
   } else {
@@ -489,7 +496,7 @@ Result<BindingTable> LusailEngine::ExecutePattern(
         LUSAIL_ASSIGN_OR_RETURN(
             BindingTable branch,
             ExecutePattern(alt, bgp_needed, dict, metrics, cancel, profile));
-        fed::AppendUnion(&unioned, branch);
+        AppendUnionIds(&unioned, branch);
       }
       if (!have_table) {
         table = std::move(unioned);
@@ -507,10 +514,10 @@ Result<BindingTable> LusailEngine::ExecutePattern(
       LUSAIL_ASSIGN_OR_RETURN(
           BindingTable right,
           ExecutePattern(opt, bgp_needed, dict, metrics, cancel, profile));
-      table = fed::LeftOuterJoin(table, right);
+      table = JoinIds(table, right, /*left_outer=*/true);
     }
     for (const sparql::Expr& f : pattern.filters) {
-      fed::FilterRows(&table, f, *dict);
+      FilterIds(&table, f, *dict);
     }
   }
 
@@ -551,20 +558,11 @@ Result<fed::FederatedResult> LusailEngine::Execute(
   fed::SharedDictionary& dict = *dict_;
 
   std::set<std::string> needed = NeededVars(query);
-  // LIMIT pushdown hint: with no ORDER BY, no DISTINCT and no aggregate,
-  // any offset+limit rows of the pattern are a correct answer, so
-  // upstream operators may stop producing once they have that many.
-  // OFFSET itself is never pushed — it is applied once, here, after the
-  // gather (a pushed OFFSET would skip rows per endpoint and lose them).
-  size_t push_limit = 0;
-  if (query.form == sparql::QueryForm::kSelect && !query.distinct &&
-      !query.aggregate.has_value() && query.order_by.empty() &&
-      query.limit.has_value()) {
-    push_limit = static_cast<size_t>(
-        std::min<uint64_t>(query.offset.value_or(0) +
-                               static_cast<uint64_t>(*query.limit),
-                           std::numeric_limits<uint32_t>::max()));
-  }
+  // LIMIT pushdown hint: upstream operators may stop once they hold this
+  // many rows (0 = no hint).
+  size_t push_limit = static_cast<size_t>(std::min<uint64_t>(
+      LimitPushdownBound(query).value_or(0),
+      std::numeric_limits<uint32_t>::max()));
   Result<BindingTable> table_or =
       ExecutePattern(query.where, needed, &dict, &metrics, cancel,
                      &result.profile, push_limit);
@@ -573,67 +571,11 @@ Result<fed::FederatedResult> LusailEngine::Execute(
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
 
   Stopwatch finish_timer;
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    // COUNT runs entirely in id space: one contiguous column scan, no
-    // term is ever decoded (the count itself is the only output).
-    const sparql::CountAggregate& agg = *query.aggregate;
-    uint64_t count = 0;
-    if (!agg.var.has_value()) {
-      count = table.NumRows();
-    } else {
-      int idx = table.VarIndex(agg.var->name);
-      if (idx >= 0) {
-        const std::vector<rdf::TermId>& col =
-            table.Column(static_cast<size_t>(idx));
-        if (agg.distinct) {
-          std::set<rdf::TermId> seen;
-          for (rdf::TermId id : col) {
-            if (id != rdf::kInvalidTermId) seen.insert(id);
-          }
-          count = seen.size();
-        } else {
-          for (rdf::TermId id : col) {
-            if (id != rdf::kInvalidTermId) ++count;
-          }
-        }
-      }
-    }
-    result.table.vars.push_back(agg.alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      // Sort the decoded full result, then cut the LIMIT/OFFSET window.
-      // ORDER BY is the one consumer that must materialize everything:
-      // the sort compares lexical forms, not ids.
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      // Late materialization pays off here: only the LIMIT/OFFSET window
-      // is decoded to strings, everything outside it stays ids.
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table =
+      DecodeIdTable(FinishSolutions(std::move(table_or).value(), query, &dict),
+                    dict);
   result.profile.execution_ms += finish_timer.ElapsedMillis();
 
   metrics.FillCounters(&result.profile);

@@ -172,7 +172,7 @@ Result<BindingTable> SapeExecutor::FetchEndpoint(
       }
       // The shared cache stores wire-format string rows (it outlives any
       // one dictionary), so a hit re-interns here.
-      return fed::InternTable(*hit, dict);
+      return EncodeResultTable(*hit, dict);
     }
   }
   // The string form of the response rides along exactly when the wire
@@ -186,7 +186,7 @@ Result<BindingTable> SapeExecutor::FetchEndpoint(
     if (wire.has_value()) {
       shared->PutResult(endpoint_id, cache_key, *wire);
     } else {
-      shared->PutResult(endpoint_id, cache_key, fed::DecodeTable(*ids, *dict));
+      shared->PutResult(endpoint_id, cache_key, DecodeIdTable(*ids, *dict));
     }
   }
   return ids;
@@ -255,7 +255,7 @@ Result<BindingTable> SapeExecutor::RunEverywhere(
       continue;
     }
     ++successes;
-    fed::AppendUnion(&merged, *table);
+    AppendUnionIds(&merged, *table);
     if (row_limit > 0 && merged.NumRows() >= row_limit) budget.Cancel();
   }
   if (!failures.empty()) {
@@ -393,7 +393,7 @@ Result<BindingTable> SapeExecutor::Execute(
       phase1_failed_sqs.insert(fetch.sq_index);
     } else {
       ++phase1_successes[fetch.sq_index];
-      fed::AppendUnion(&phase1_tables[fetch.sq_index], *part);
+      AppendUnionIds(&phase1_tables[fetch.sq_index], *part);
     }
     // The subquery span closes when its last endpoint result lands.
     if (tracer != nullptr && --phase1_pending[fetch.sq_index] == 0) {
@@ -629,7 +629,7 @@ Result<BindingTable> SapeExecutor::Execute(
         end_sq_span(merged.NumRows());
         return part.status();
       }
-      fed::AppendUnion(&merged, *part);
+      AppendUnionIds(&merged, *part);
     }
     if (tracer != nullptr) {
       tracer->Annotate(sq_span, "values_blocks",

@@ -1,37 +1,18 @@
 #ifndef LUSAIL_FEDERATION_BINDING_TABLE_H_
 #define LUSAIL_FEDERATION_BINDING_TABLE_H_
 
-#include <string>
-#include <vector>
-
 #include "core/dictionary.h"
 #include "core/id_table.h"
-#include "sparql/ast.h"
-#include "sparql/result_table.h"
 
 namespace lusail::fed {
 
 /// The federation-level binding table is the columnar core::IdTable, and
 /// the shared dictionary is the sharded, engine-owned core::TermDictionary
 /// — ID-space execution replaced the old row-major table and the
-/// single-mutex per-query dictionary. The aliases and the thin wrappers
-/// below keep the established federation-layer vocabulary (InternTable /
-/// DecodeTable / HashJoin / ...) for the engines and baselines built on
-/// it.
+/// single-mutex per-query dictionary. Table operators are called as
+/// core:: functions (EncodeResultTable, JoinIds, AppendUnionIds, ...).
 using SharedDictionary = core::TermDictionary;
 using BindingTable = core::IdTable;
-
-/// Encodes an endpoint result into the shared dictionary's id space.
-inline BindingTable InternTable(const sparql::ResultTable& table,
-                                SharedDictionary* dict) {
-  return core::EncodeResultTable(table, dict);
-}
-
-/// Decodes a binding table back to term-level results (final answer).
-inline sparql::ResultTable DecodeTable(const BindingTable& table,
-                                       const SharedDictionary& dict) {
-  return core::DecodeIdTable(table, dict);
-}
 
 /// Natural inner join on all shared variables (cartesian product when the
 /// tables share none). Rows with an unbound shared variable use SPARQL
@@ -44,33 +25,6 @@ inline BindingTable HashJoin(const BindingTable& left,
     return core::JoinIds(right, left, /*left_outer=*/false);
   }
   return core::JoinIds(left, right, /*left_outer=*/false);
-}
-
-/// Left outer join: left rows with no compatible right row survive with
-/// the right-only columns unbound (OPTIONAL at the federator).
-inline BindingTable LeftOuterJoin(const BindingTable& left,
-                                  const BindingTable& right) {
-  return core::JoinIds(left, right, /*left_outer=*/true);
-}
-
-/// Appends src's rows to dst, aligning columns by name; variables missing
-/// from src become unbound (UNION at the federator).
-inline void AppendUnion(BindingTable* dst, const BindingTable& src) {
-  core::AppendUnionIds(dst, src);
-}
-
-/// Keeps the rows satisfying `filter` (decoding cells through `dict`).
-inline void FilterRows(BindingTable* table, const sparql::Expr& filter,
-                       const SharedDictionary& dict) {
-  core::FilterIds(table, filter, dict);
-}
-
-/// Projects the table onto `vars` (missing variables become unbound
-/// columns); optionally deduplicates rows.
-inline BindingTable Project(const BindingTable& table,
-                            const std::vector<std::string>& vars,
-                            bool distinct) {
-  return core::ProjectIds(table, vars, distinct);
 }
 
 }  // namespace lusail::fed

@@ -196,7 +196,7 @@ class ShardedEndpoint : public net::Endpoint {
   /// When `star_limit` is non-zero each star subquery ships `LIMIT
   /// star_limit` to the shards — only safe when the caller proved the
   /// gather cannot need more than that many rows per shard (single
-  /// star, no ORDER BY / DISTINCT / aggregate / gather-side joins).
+  /// star, no gather-side joins, core::LimitPushdownBound holds).
   Result<core::IdTable> EvaluatePlan(const Plan& plan,
                                      const CancelToken& cancel,
                                      ScatterContext* ctx,
@@ -215,6 +215,8 @@ class ShardedEndpoint : public net::Endpoint {
                                           const StarGroup& star,
                                           const CancelToken& cancel,
                                           ScatterContext* ctx);
+  /// Runs core::FinishSolutions over the gathered rows and wraps the
+  /// id-space answer with the scatter's accounting.
   Result<net::QueryResponse> FinishSelect(const sparql::Query& query,
                                           core::IdTable acc,
                                           ScatterContext* ctx);

@@ -74,7 +74,7 @@ TEST_F(BindingTableTest, HashJoinUnboundIsCompatible) {
 TEST_F(BindingTableTest, LeftOuterJoinPadsMisses) {
   BindingTable left = Make({"x", "y"}, {{"a", "b"}, {"c", "nomatch"}});
   BindingTable right = Make({"y", "z"}, {{"b", "e"}});
-  BindingTable joined = LeftOuterJoin(left, right);
+  BindingTable joined = core::JoinIds(left, right, /*left_outer=*/true);
   ASSERT_EQ(joined.NumRows(), 2u);
   int z = joined.VarIndex("z");
   int matched = 0;
@@ -87,7 +87,7 @@ TEST_F(BindingTableTest, LeftOuterJoinPadsMisses) {
 TEST_F(BindingTableTest, AppendUnionAlignsColumns) {
   BindingTable a = Make({"x", "y"}, {{"a", "b"}});
   BindingTable b = Make({"y", "z"}, {{"c", "d"}});
-  AppendUnion(&a, b);
+  core::AppendUnionIds(&a, b);
   ASSERT_EQ(a.NumRows(), 2u);
   EXPECT_EQ(a.vars.size(), 3u);
   int x = a.VarIndex("x"), z = a.VarIndex("z");
@@ -99,18 +99,18 @@ TEST_F(BindingTableTest, AppendUnionAlignsColumns) {
 TEST_F(BindingTableTest, AppendUnionIntoEmpty) {
   BindingTable empty;
   BindingTable b = Make({"x"}, {{"a"}});
-  AppendUnion(&empty, b);
+  core::AppendUnionIds(&empty, b);
   EXPECT_EQ(empty.NumRows(), 1u);
   EXPECT_EQ(empty.vars, b.vars);
 }
 
 TEST_F(BindingTableTest, ProjectAndDistinct) {
   BindingTable t = Make({"x", "y"}, {{"a", "b"}, {"a", "c"}, {"a", "b"}});
-  BindingTable all = Project(t, {"x"}, /*distinct=*/false);
+  BindingTable all = core::ProjectIds(t, {"x"}, /*distinct=*/false);
   EXPECT_EQ(all.NumRows(), 3u);
-  BindingTable dedup = Project(t, {"x"}, /*distinct=*/true);
+  BindingTable dedup = core::ProjectIds(t, {"x"}, /*distinct=*/true);
   EXPECT_EQ(dedup.NumRows(), 1u);
-  BindingTable missing = Project(t, {"x", "w"}, false);
+  BindingTable missing = core::ProjectIds(t, {"x", "w"}, false);
   EXPECT_EQ(missing.vars.size(), 2u);
   EXPECT_EQ(missing.At(0, 1), rdf::kInvalidTermId);
 }
@@ -123,7 +123,7 @@ TEST_F(BindingTableTest, FilterRowsDecodesTerms) {
   sparql::Expr filter = sparql::Expr::Binary(
       sparql::ExprOp::kGt, sparql::Expr::Var("n"),
       sparql::Expr::Const(Term::Integer(10)));
-  FilterRows(&t, filter, dict_);
+  core::FilterIds(&t, filter, dict_);
   ASSERT_EQ(t.NumRows(), 1u);
   EXPECT_EQ(dict_.term(t.At(0, 0)).lexical(), "15");
 }
@@ -132,10 +132,10 @@ TEST_F(BindingTableTest, InternAndDecodeRoundTrip) {
   sparql::ResultTable rt;
   rt.vars = {"a", "b"};
   rt.rows.push_back({Term::Iri("http://x"), std::nullopt});
-  BindingTable bt = InternTable(rt, &dict_);
+  BindingTable bt = core::EncodeResultTable(rt, &dict_);
   ASSERT_EQ(bt.NumRows(), 1u);
   EXPECT_EQ(bt.At(0, 1), rdf::kInvalidTermId);
-  sparql::ResultTable back = DecodeTable(bt, dict_);
+  sparql::ResultTable back = core::DecodeIdTable(bt, dict_);
   EXPECT_EQ(back.rows[0][0], Term::Iri("http://x"));
   EXPECT_FALSE(back.rows[0][1].has_value());
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "rdf/dictionary.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
@@ -59,6 +61,11 @@ struct RoundTripCase {
   const char* label;
   Term term;
 };
+
+// Without a printer gtest lists a parameter as its raw bytes, which hold
+// pointers and so change from run to run under ASLR; print the label so
+// the listed test names stay the same.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.label; }
 
 class TermRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
