@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "core/group_pattern.h"
 #include "core/solution_modifiers.h"
 #include "sparql/serializer.h"
 
@@ -50,7 +51,7 @@ std::vector<AnapsidEngine::StarGroup> AnapsidEngine::BuildStarGroups(
     const std::vector<TriplePattern>& triples,
     const std::vector<std::vector<int>>& sources,
     const std::vector<sparql::Expr>& filters,
-    std::vector<sparql::Expr>* residual_filters) {
+    std::vector<const sparql::Expr*>* residual_filters) {
   // Key: (subject vertex, source list). Patterns with a constant or
   // distinct subject each start their own group.
   std::map<std::pair<std::string, std::vector<int>>, StarGroup> stars;
@@ -80,7 +81,7 @@ std::vector<AnapsidEngine::StarGroup> AnapsidEngine::BuildStarGroups(
         break;
       }
     }
-    if (!pushed) residual_filters->push_back(f);
+    if (!pushed) residual_filters->push_back(&f);
   }
   return groups;
 }
@@ -89,12 +90,20 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
     const sparql::GraphPattern& pattern, fed::SharedDictionary* dict,
     fed::MetricsCollector* metrics, const Deadline& deadline,
     fed::ExecutionProfile* profile) {
-  if (!pattern.exists_filters.empty()) {
-    return Status::Unsupported(
-        "FILTER [NOT] EXISTS is not supported by ANAPSID");
-  }
-
+  core::GroupTail tail = core::GroupTail::Of(pattern);
   Stopwatch timer;
+  auto combine = [&](BindingTable bgp) {
+    Result<BindingTable> out = core::CombineGroup(
+        std::move(bgp), tail,
+        [&](const sparql::GraphPattern& block) {
+          return ExecutePattern(block, dict, metrics, deadline, profile);
+        },
+        dict);
+    profile->execution_ms += timer.ElapsedMillis();
+    return out;
+  };
+  if (pattern.triples.empty()) return combine(core::UnitTable());
+
   fed::PhaseSpan source_span(metrics, "source selection");
   fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(
@@ -116,9 +125,9 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
     }
   }
 
-  std::vector<sparql::Expr> residual_filters;
+  tail.filters.clear();
   std::vector<StarGroup> groups = BuildStarGroups(
-      pattern.triples, sources, pattern.filters, &residual_filters);
+      pattern.triples, sources, pattern.filters, &tail.filters);
 
   // Adaptive phase: dispatch every (group, endpoint) request at once.
   struct Fetch {
@@ -220,36 +229,7 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
     ready.erase(ready.begin() + 1);
     track_peak();
   }
-  BindingTable table = ready.empty() ? BindingTable() : std::move(ready[0]);
-
-  for (const auto& chain : pattern.unions) {
-    BindingTable unioned;
-    for (const sparql::GraphPattern& alt : chain) {
-      LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable branch,
-          ExecutePattern(alt, dict, metrics, deadline, profile));
-      core::AppendUnionIds(&unioned, branch);
-    }
-    if (table.vars.empty() && table.NumRows() == 0 && pattern.triples.empty()) {
-      table = std::move(unioned);
-    } else {
-      table = fed::HashJoin(table, unioned);
-    }
-  }
-  for (const sparql::GraphPattern& opt : pattern.optionals) {
-    LUSAIL_ASSIGN_OR_RETURN(
-        BindingTable right,
-        ExecutePattern(opt, dict, metrics, deadline, profile));
-    table = core::JoinIds(table, right, /*left_outer=*/true);
-  }
-  for (const sparql::Expr& f : residual_filters) {
-    core::FilterIds(&table, f, *dict);
-  }
-  profile->peak_intermediate_rows = std::max(
-      profile->peak_intermediate_rows,
-      static_cast<uint64_t>(table.NumRows()));
-  profile->execution_ms += timer.ElapsedMillis();
-  return table;
+  return combine(ready.empty() ? BindingTable() : std::move(ready[0]));
 }
 
 Result<fed::FederatedResult> AnapsidEngine::Execute(

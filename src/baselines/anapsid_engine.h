@@ -63,11 +63,14 @@ class AnapsidEngine : public fed::FederatedEngine {
     std::vector<sparql::Expr> filters;
   };
 
+  /// Groups the patterns into stars and pushes each filter into the
+  /// first star covering its variables; the rest are appended to
+  /// `residual_filters`.
   static std::vector<StarGroup> BuildStarGroups(
       const std::vector<sparql::TriplePattern>& triples,
       const std::vector<std::vector<int>>& sources,
       const std::vector<sparql::Expr>& filters,
-      std::vector<sparql::Expr>* residual_filters);
+      std::vector<const sparql::Expr*>* residual_filters);
 
   Result<fed::BindingTable> ExecutePattern(const sparql::GraphPattern& pattern,
                                            fed::SharedDictionary* dict,

@@ -6,6 +6,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "core/group_pattern.h"
 #include "core/solution_modifiers.h"
 #include "sparql/serializer.h"
 
@@ -90,7 +91,7 @@ std::vector<FedXEngine::Operand> FedXEngine::BuildOperands(
     const std::vector<TriplePattern>& triples,
     const std::vector<std::vector<int>>& sources,
     const std::vector<sparql::Expr>& filters,
-    std::vector<sparql::Expr>* residual_filters) {
+    std::vector<const sparql::Expr*>* residual_filters) {
   std::vector<Operand> ops;
   // Exclusive groups: patterns whose single relevant source matches.
   std::map<int, Operand> exclusive;
@@ -126,7 +127,7 @@ std::vector<FedXEngine::Operand> FedXEngine::BuildOperands(
         break;
       }
     }
-    if (!pushed) residual_filters->push_back(f);
+    if (!pushed) residual_filters->push_back(&f);
   }
   return ops;
 }
@@ -181,7 +182,7 @@ std::vector<size_t> FedXEngine::OrderOperands(const std::vector<Operand>& ops) {
 }
 
 Result<BindingTable> FedXEngine::BoundJoinStep(
-    const Operand& op, BindingTable table, bool left_outer,
+    const Operand& op, BindingTable table,
     std::optional<uint64_t> result_cap, fed::SharedDictionary* dict,
     fed::MetricsCollector* metrics, const Deadline& deadline) {
   std::vector<std::string> op_vars = OperandVars(op.triples);
@@ -189,11 +190,6 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   for (const std::string& v : op_vars) {
     if (table.VarIndex(v) >= 0) shared.push_back(v);
   }
-  auto join = [left_outer](const BindingTable& left,
-                           const BindingTable& right) {
-    return left_outer ? core::JoinIds(left, right, /*left_outer=*/true)
-                      : fed::HashJoin(left, right);
-  };
 
   auto fetch_all = [&]() -> Result<BindingTable> {
     // No bindings to ship: fetch the operand fully from all its sources.
@@ -216,7 +212,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   }
   if (shared.empty()) {
     LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return join(table, fetched);
+    return fed::HashJoin(table, fetched);
   }
 
   // Distinct binding tuples of the shared variables.
@@ -242,7 +238,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   }
   if (distinct.empty()) {
     LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return join(table, fetched);
+    return fed::HashJoin(table, fetched);
   }
 
   // Ship the bindings block by block to every relevant source,
@@ -283,22 +279,32 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     if (result_cap.has_value()) {
       // LIMIT shortcut: stop shipping blocks once enough joined results
       // exist (FedX's first-N termination; see the paper's C4 discussion).
-      BindingTable probe = join(table, fetched);
+      BindingTable probe = fed::HashJoin(table, fetched);
       if (probe.NumRows() >= *result_cap) return probe;
     }
   }
-  return join(table, fetched);
+  return fed::HashJoin(table, fetched);
 }
 
 Result<BindingTable> FedXEngine::ExecutePattern(
     const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
     fed::SharedDictionary* dict, fed::MetricsCollector* metrics,
     const Deadline& deadline, fed::ExecutionProfile* profile) {
-  if (!pattern.exists_filters.empty()) {
-    return Status::Unsupported("FILTER [NOT] EXISTS is not supported by FedX");
-  }
-
+  core::GroupTail tail = core::GroupTail::Of(pattern);
   Stopwatch timer;
+  auto combine = [&](BindingTable bgp) {
+    Result<BindingTable> out = core::CombineGroup(
+        std::move(bgp), tail,
+        [&](const sparql::GraphPattern& block) {
+          return ExecutePattern(block, std::nullopt, dict, metrics, deadline,
+                                profile);
+        },
+        dict);
+    profile->execution_ms += timer.ElapsedMillis();
+    return out;
+  };
+  if (pattern.triples.empty()) return combine(core::UnitTable());
+
   fed::PhaseSpan source_span(metrics, "source selection");
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
@@ -318,19 +324,17 @@ Result<BindingTable> FedXEngine::ExecutePattern(
     }
   }
 
-  std::vector<sparql::Expr> residual_filters;
+  tail.filters.clear();
   std::vector<Operand> ops =
-      BuildOperands(pattern.triples, sources, pattern.filters,
-                    &residual_filters);
+      BuildOperands(pattern.triples, sources, pattern.filters, &tail.filters);
   std::vector<size_t> order = OrderOperands(ops);
+  const bool cap_bgp = core::LimitCrossesBgp(tail);
 
   BindingTable table;
   for (size_t k = 0; k < order.size(); ++k) {
-    bool last = (k + 1 == order.size()) && pattern.unions.empty() &&
-                pattern.optionals.empty() && residual_filters.empty();
+    bool last = k + 1 == order.size() && cap_bgp;
     LUSAIL_ASSIGN_OR_RETURN(
         table, BoundJoinStep(ops[order[k]], std::move(table),
-                             /*left_outer=*/false,
                              last ? result_cap : std::nullopt, dict, metrics,
                              deadline));
     profile->peak_intermediate_rows = std::max(
@@ -342,51 +346,7 @@ Result<BindingTable> FedXEngine::ExecutePattern(
     }
   }
 
-  for (const auto& chain : pattern.unions) {
-    BindingTable unioned;
-    for (const sparql::GraphPattern& alt : chain) {
-      LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable branch,
-          ExecutePattern(alt, std::nullopt, dict, metrics, deadline, profile));
-      core::AppendUnionIds(&unioned, branch);
-    }
-    if (table.vars.empty() && table.NumRows() == 0 && pattern.triples.empty()) {
-      table = std::move(unioned);
-    } else {
-      table = fed::HashJoin(table, unioned);
-    }
-  }
-  for (const sparql::GraphPattern& opt : pattern.optionals) {
-    LUSAIL_ASSIGN_OR_RETURN(
-        BindingTable right,
-        ExecutePattern(opt, std::nullopt, dict, metrics, deadline, profile));
-    table = core::JoinIds(table, right, /*left_outer=*/true);
-  }
-  for (const sparql::Expr& f : residual_filters) {
-    core::FilterIds(&table, f, *dict);
-  }
-  if (pattern.triples.empty()) {
-    for (const sparql::Expr& f : pattern.filters) {
-      core::FilterIds(&table, f, *dict);
-    }
-  }
-  // VALUES blocks.
-  for (const sparql::ValuesClause& vc : pattern.values) {
-    BindingTable vt;
-    for (const sparql::Variable& v : vc.vars) vt.vars.push_back(v.name);
-    std::vector<rdf::TermId> ids;
-    for (const auto& row : vc.rows) {
-      ids.clear();
-      for (const auto& cell : row) {
-        ids.push_back(cell.has_value() ? dict->Intern(*cell)
-                                       : rdf::kInvalidTermId);
-      }
-      vt.AppendRow(ids);
-    }
-    table = fed::HashJoin(table, vt);
-  }
-  profile->execution_ms += timer.ElapsedMillis();
-  return table;
+  return combine(std::move(table));
 }
 
 Result<fed::FederatedResult> FedXEngine::Execute(

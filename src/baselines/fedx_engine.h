@@ -96,25 +96,27 @@ class FedXEngine : public fed::FederatedEngine {
       const std::vector<sparql::TriplePattern>& triples,
       fed::MetricsCollector* metrics, const Deadline& deadline);
 
-  /// Builds exclusive groups + singleton operands and pushes filters.
+  /// Builds exclusive groups + singleton operands and pushes filters;
+  /// the filters no operand covers are appended to `residual_filters`.
   static std::vector<Operand> BuildOperands(
       const std::vector<sparql::TriplePattern>& triples,
       const std::vector<std::vector<int>>& sources,
       const std::vector<sparql::Expr>& filters,
-      std::vector<sparql::Expr>* residual_filters);
+      std::vector<const sparql::Expr*>* residual_filters);
 
   /// FedX join-order heuristic: fewest free variables first, exclusive
   /// groups preferred on ties.
   static std::vector<size_t> OrderOperands(const std::vector<Operand>& ops);
 
   /// Evaluates an operand with the current bindings via block bound
-  /// joins; joins the fetched rows with `table` (inner or left-outer).
+  /// joins; joins the fetched rows with `table`.
   Result<fed::BindingTable> BoundJoinStep(
-      const Operand& op, fed::BindingTable table, bool left_outer,
+      const Operand& op, fed::BindingTable table,
       std::optional<uint64_t> result_cap, fed::SharedDictionary* dict,
       fed::MetricsCollector* metrics, const Deadline& deadline);
 
-  /// Evaluates a whole graph pattern (BGP + unions + optionals).
+  /// Evaluates a whole graph pattern: the BGP by bound joins, the rest
+  /// through core::CombineGroup, recursing here for nested groups.
   Result<fed::BindingTable> ExecutePattern(
       const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
       fed::SharedDictionary* dict, fed::MetricsCollector* metrics,

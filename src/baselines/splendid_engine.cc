@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/stopwatch.h"
+#include "core/group_pattern.h"
 #include "core/solution_modifiers.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/serializer.h"
@@ -125,13 +126,21 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     const sparql::GraphPattern& pattern, fed::SharedDictionary* dict,
     fed::MetricsCollector* metrics, const Deadline& deadline,
     fed::ExecutionProfile* profile) {
-  if (!pattern.exists_filters.empty() || !pattern.unions.empty()) {
-    return Status::Unsupported(
-        "SPLENDID reimplementation does not support this query shape "
-        "(UNION / FILTER EXISTS)");
-  }
-
   Stopwatch timer;
+  // SPLENDID pushes no filter into its requests: every filter is in the
+  // tail.
+  auto combine = [&](BindingTable bgp) {
+    Result<BindingTable> out = core::CombineGroup(
+        std::move(bgp), core::GroupTail::Of(pattern),
+        [&](const sparql::GraphPattern& block) {
+          return ExecutePattern(block, dict, metrics, deadline, profile);
+        },
+        dict);
+    profile->execution_ms += timer.ElapsedMillis();
+    return out;
+  };
+  if (pattern.triples.empty()) return combine(core::UnitTable());
+
   fed::PhaseSpan source_span(metrics, "source selection");
   std::vector<std::vector<int>> sources(pattern.triples.size());
   for (size_t i = 0; i < pattern.triples.size(); ++i) {
@@ -253,17 +262,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     first = false;
   }
 
-  for (const sparql::GraphPattern& opt : pattern.optionals) {
-    LUSAIL_ASSIGN_OR_RETURN(
-        BindingTable right,
-        ExecutePattern(opt, dict, metrics, deadline, profile));
-    table = core::JoinIds(table, right, /*left_outer=*/true);
-  }
-  for (const sparql::Expr& f : pattern.filters) {
-    core::FilterIds(&table, f, *dict);
-  }
-  profile->execution_ms += timer.ElapsedMillis();
-  return table;
+  return combine(std::move(table));
 }
 
 Result<fed::FederatedResult> SplendidEngine::Execute(

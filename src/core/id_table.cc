@@ -147,31 +147,20 @@ IdTable IdTable::FromColumns(std::vector<std::string> names,
   return out;
 }
 
-IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
-  std::vector<std::string> shared = IdTable::SharedVars(left, right);
-  std::vector<int> shared_left, shared_right, right_only;
-  std::vector<std::string> out_vars = left.vars;
-  for (const std::string& v : shared) {
-    shared_left.push_back(left.VarIndex(v));
-    shared_right.push_back(right.VarIndex(v));
-  }
-  for (size_t i = 0; i < right.vars.size(); ++i) {
-    if (std::find(shared.begin(), shared.end(), right.vars[i]) ==
-        shared.end()) {
-      right_only.push_back(static_cast<int>(i));
-      out_vars.push_back(right.vars[i]);
-    }
-  }
+namespace {
+
+/// Pass 1 of the join kernels: appends the (left, right) row pairs
+/// compatible on the shared columns to `pairs`, in left-row order, and
+/// the left rows compatible with no right row to `unmatched` when it is
+/// non-null. With `first_only`, stops at each left row's first match.
+/// Only key columns are touched; payload columns are never read.
+void MatchRows(const IdTable& left, const IdTable& right,
+               const std::vector<int>& shared_left,
+               const std::vector<int>& shared_right, bool first_only,
+               std::vector<std::pair<uint32_t, uint32_t>>* pairs,
+               std::vector<uint32_t>* unmatched) {
   const size_t ln = left.NumRows();
   const size_t rn = right.NumRows();
-
-  // Which right shared column backfills left column `c` when the left
-  // cell is unbound (compatibility-join output prefers the bound side).
-  std::vector<int> backfill(left.NumVars(), -1);
-  for (size_t i = 0; i < shared_left.size(); ++i) {
-    backfill[shared_left[i]] = shared_right[i];
-  }
-
   auto compatible = [&](size_t l, size_t r) {
     for (size_t i = 0; i < shared_left.size(); ++i) {
       rdf::TermId a = left.At(l, shared_left[i]);
@@ -183,12 +172,7 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
     return true;
   };
 
-  // Pass 1: find the (left, right) match pairs and the unmatched left
-  // rows. Only key columns are touched here; the non-key payload columns
-  // are never read until the gather pass below.
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  std::vector<uint32_t> unmatched;
-  if (ln != 0 && (rn != 0 || left_outer)) {
+  if (ln != 0 && (rn != 0 || unmatched != nullptr)) {
     std::unordered_map<std::vector<rdf::TermId>, std::vector<uint32_t>,
                        IdRowHash>
         hash_index;
@@ -227,29 +211,66 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
         auto it = hash_index.find(key);
         if (it != hash_index.end()) {
           for (uint32_t r : it->second) {
-            pairs.emplace_back(static_cast<uint32_t>(l), r);
+            pairs->emplace_back(static_cast<uint32_t>(l), r);
+            if (first_only) break;
           }
           matched = true;
         }
         for (uint32_t r : right_wildcards) {
+          if (matched && first_only) break;
           if (compatible(l, r)) {
-            pairs.emplace_back(static_cast<uint32_t>(l), r);
+            pairs->emplace_back(static_cast<uint32_t>(l), r);
             matched = true;
           }
         }
       } else {
         // Left row has an unbound shared var: scan everything.
-        for (size_t r = 0; r < rn; ++r) {
+        for (size_t r = 0; r < rn && !(matched && first_only); ++r) {
           if (compatible(l, r)) {
-            pairs.emplace_back(static_cast<uint32_t>(l),
-                               static_cast<uint32_t>(r));
+            pairs->emplace_back(static_cast<uint32_t>(l),
+                                static_cast<uint32_t>(r));
             matched = true;
           }
         }
       }
-      if (left_outer && !matched) unmatched.push_back(static_cast<uint32_t>(l));
+      if (unmatched != nullptr && !matched) {
+        unmatched->push_back(static_cast<uint32_t>(l));
+      }
     }
   }
+}
+
+}  // namespace
+
+IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
+  std::vector<std::string> shared = IdTable::SharedVars(left, right);
+  std::vector<int> shared_left, shared_right, right_only;
+  std::vector<std::string> out_vars = left.vars;
+  for (const std::string& v : shared) {
+    shared_left.push_back(left.VarIndex(v));
+    shared_right.push_back(right.VarIndex(v));
+  }
+  for (size_t i = 0; i < right.vars.size(); ++i) {
+    if (std::find(shared.begin(), shared.end(), right.vars[i]) ==
+        shared.end()) {
+      right_only.push_back(static_cast<int>(i));
+      out_vars.push_back(right.vars[i]);
+    }
+  }
+  // Which right shared column backfills left column `c` when the left
+  // cell is unbound (compatibility-join output prefers the bound side).
+  std::vector<int> backfill(left.NumVars(), -1);
+  for (size_t i = 0; i < shared_left.size(); ++i) {
+    backfill[shared_left[i]] = shared_right[i];
+  }
+
+  // Pass 1: find the (left, right) match pairs and the unmatched left
+  // rows. The non-key payload columns are never read until the gather
+  // pass below.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<uint32_t> unmatched;
+  MatchRows(left, right, shared_left, shared_right, /*first_only=*/false,
+            &pairs, left_outer ? &unmatched : nullptr);
 
   // Pass 2: materialize with one gather per output column. Matched rows
   // first, then (for OPTIONAL) the unmatched lefts padded unbound.
@@ -282,6 +303,24 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
     }
   }
   return IdTable::FromColumns(std::move(out_vars), std::move(cols), total);
+}
+
+IdTable SemiJoinIds(const IdTable& left, const IdTable& right,
+                    bool negated) {
+  std::vector<int> shared_left, shared_right;
+  for (const std::string& v : IdTable::SharedVars(left, right)) {
+    shared_left.push_back(left.VarIndex(v));
+    shared_right.push_back(right.VarIndex(v));
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<uint32_t> unmatched;
+  MatchRows(left, right, shared_left, shared_right, /*first_only=*/true,
+            &pairs, &unmatched);
+  if (negated) return left.SelectRows(unmatched);
+  std::vector<uint32_t> kept;
+  kept.reserve(pairs.size());
+  for (const auto& pair : pairs) kept.push_back(pair.first);
+  return left.SelectRows(kept);
 }
 
 void AppendUnionIds(IdTable* dst, const IdTable& src) {

@@ -106,6 +106,14 @@ class IdTable {
 /// variables this degenerates to the cartesian product.
 IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer);
 
+/// FILTER EXISTS as a semi-join: the rows of `left` compatible with at
+/// least one row of `right` on the shared variables (an unbound cell on
+/// either side matches any value), in order. With `negated` (FILTER NOT
+/// EXISTS), the rows compatible with none. With no shared variables every
+/// left row matches exactly when `right` has a row. Runs JoinIds's match
+/// pass, stopping at each left row's first match.
+IdTable SemiJoinIds(const IdTable& left, const IdTable& right, bool negated);
+
 /// Appends src's rows to dst, aligning columns by name; variables missing
 /// from src become unbound (UNION at the federator).
 void AppendUnionIds(IdTable* dst, const IdTable& src);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/hash_join.h"
+#include "core/group_pattern.h"
 #include "core/join_optimizer.h"
 #include "core/solution_modifiers.h"
 
@@ -29,6 +29,37 @@ std::set<std::string> NeededVars(const sparql::Query& query) {
     }
   }
   return needed;
+}
+
+/// Variables of the blocks that join with the BGP before the group's
+/// OPTIONALs do: UNION chains and VALUES blocks. An OPTIONAL pushed into
+/// a host subquery must keep its overlap with these inside the host, or
+/// its local left join would not commute with those joins.
+/// (Residual-filter and EXISTS variables do not block the push-down:
+/// both run after the OPTIONAL joins.)
+std::set<std::string> PreOptionalJoinVars(const sparql::GraphPattern& group) {
+  std::set<std::string> vars;
+  for (const auto& chain : group.unions) {
+    for (const auto& alt : chain) alt.CollectVariables(&vars);
+  }
+  for (const sparql::ValuesClause& vc : group.values) {
+    for (const sparql::Variable& v : vc.vars) vars.insert(v.name);
+  }
+  return vars;
+}
+
+/// Variables the BGP of `group` must deliver: the caller's `needed` plus
+/// everything the rest of the group joins on or reads.
+std::set<std::string> BgpNeededVars(const sparql::GraphPattern& group,
+                                    const std::set<std::string>& needed) {
+  std::set<std::string> vars = PreOptionalJoinVars(group);
+  vars.insert(needed.begin(), needed.end());
+  for (const auto& opt : group.optionals) opt.CollectVariables(&vars);
+  for (const sparql::Expr& f : group.filters) f.CollectVariables(&vars);
+  for (const sparql::ExistsFilter& ef : group.exists_filters) {
+    ef.pattern.CollectVariables(&vars);
+  }
+  return vars;
 }
 
 /// True when an OPTIONAL block is a plain conjunctive pattern (the only
@@ -214,23 +245,12 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
       decomposer.Decompose(query.where.triples, out.sources, out.gjvs,
                            query.where.filters, needed);
 
-  // OPTIONAL push-down over the top-level group, mirroring
-  // ExecutePattern's variable-visibility setup.
-  std::set<std::string> outside_vars;
-  for (const auto& chain : query.where.unions) {
-    for (const auto& alt : chain) alt.CollectVariables(&outside_vars);
-  }
-  std::set<std::string> analysis_needed = needed;
-  analysis_needed.insert(outside_vars.begin(), outside_vars.end());
-  for (const auto& opt : query.where.optionals) {
-    opt.CollectVariables(&analysis_needed);
-  }
-  for (const sparql::Expr& f : query.where.filters) {
-    f.CollectVariables(&analysis_needed);
-  }
+  // OPTIONAL push-down over the top-level group, with ExecutePattern's
+  // variable visibility.
   out.pushed_optionals = PushPlainOptionals(
       plain_optionals, optional_ranges, query.where.triples, sources,
-      out.gjvs, outside_vars, analysis_needed, &out.decomposition, nullptr);
+      out.gjvs, PreOptionalJoinVars(query.where),
+      BgpNeededVars(query.where, needed), &out.decomposition, nullptr);
   out.unpushed_optionals =
       query.where.optionals.size() - out.pushed_optionals;
 
@@ -390,153 +410,54 @@ Result<BindingTable> LusailEngine::ExecutePattern(
     const std::set<std::string>& needed_vars, fed::SharedDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     fed::ExecutionProfile* profile, size_t row_limit) {
-  if (!pattern.exists_filters.empty()) {
-    return Status::Unsupported(
-        "FILTER [NOT] EXISTS is not supported in federated queries (it is "
-        "used internally by Lusail's locality checks)");
-  }
-
-  // Needed vars for the BGP include everything nested blocks join on.
-  std::set<std::string> bgp_needed = needed_vars;
-  std::set<std::string> nested_vars;
-  for (const auto& chain : pattern.unions) {
-    for (const auto& alt : chain) alt.CollectVariables(&nested_vars);
-  }
-  for (const auto& opt : pattern.optionals) {
-    opt.CollectVariables(&nested_vars);
-  }
-  bgp_needed.insert(nested_vars.begin(), nested_vars.end());
-  // Filters that nested blocks do not cover must survive the BGP.
-  std::set<std::string> filter_vars;
-  for (const sparql::Expr& f : pattern.filters) {
-    f.CollectVariables(&filter_vars);
-  }
-  bgp_needed.insert(filter_vars.begin(), filter_vars.end());
-
-  BindingTable table;
-  bool have_table = false;
-
+  std::set<std::string> bgp_needed = BgpNeededVars(pattern, needed_vars);
+  GroupTail tail = GroupTail::Of(pattern);
+  BindingTable table = UnitTable();
   if (!pattern.triples.empty()) {
     // Filters whose variables are fully inside the BGP go down the LADE
-    // pipeline; the rest are applied after nested blocks join in.
-    std::set<std::string> bgp_vars;
-    for (const sparql::TriplePattern& tp : pattern.triples) {
-      for (const std::string& v : tp.VariableNames()) bgp_vars.insert(v);
-    }
-    std::vector<sparql::Expr> bgp_filters, residual_filters;
+    // pipeline; the rest stay in the tail.
+    std::set<std::string> bgp_vars = PatternVars(pattern.triples);
+    std::vector<sparql::Expr> bgp_filters;
+    tail.filters.clear();
     for (const sparql::Expr& f : pattern.filters) {
       std::set<std::string> fv;
       f.CollectVariables(&fv);
-      bool inside = std::all_of(fv.begin(), fv.end(), [&](const auto& v) {
-        return bgp_vars.count(v) > 0;
-      });
-      (inside ? bgp_filters : residual_filters).push_back(f);
-    }
-
-    // Variables that other *join blocks* of this group observe: an
-    // OPTIONAL push-down must keep its overlap with these inside its host
-    // subquery, or the local left join would not commute with the global
-    // joins. (Projection-only and residual-filter variables do not block
-    // the push-down — the host simply projects them.)
-    std::set<std::string> outside_vars;
-    for (const auto& chain : pattern.unions) {
-      for (const auto& alt : chain) alt.CollectVariables(&outside_vars);
-    }
-
-    std::vector<const sparql::GraphPattern*> candidates;
-    candidates.reserve(pattern.optionals.size());
-    for (const sparql::GraphPattern& opt : pattern.optionals) {
-      candidates.push_back(&opt);
+      if (std::includes(bgp_vars.begin(), bgp_vars.end(), fv.begin(),
+                        fv.end())) {
+        bgp_filters.push_back(f);
+      } else {
+        tail.filters.push_back(&f);
+      }
     }
     std::vector<const sparql::GraphPattern*> unpushed;
-    // The LIMIT hint may cross the BGP only when nothing at this level
-    // can discard rows afterwards: UNION chains and VALUES blocks join
-    // (can drop rows), residual filters drop rows. Unpushed OPTIONALs are
-    // harmless — a left join keeps every left row.
-    size_t bgp_limit = (row_limit > 0 && pattern.unions.empty() &&
-                        pattern.values.empty() && residual_filters.empty())
-                           ? row_limit
-                           : 0;
     LUSAIL_ASSIGN_OR_RETURN(
-        table, ExecuteBgp(pattern.triples, bgp_filters, candidates,
-                          outside_vars, bgp_needed, dict, metrics, cancel,
-                          profile, &unpushed, bgp_limit));
-    have_table = true;
-
-    // UNION chains and the OPTIONAL blocks that could not be pushed down
-    // join/extend the BGP result at the federator.
-    for (const auto& chain : pattern.unions) {
-      BindingTable unioned;
-      for (const sparql::GraphPattern& alt : chain) {
-        LUSAIL_ASSIGN_OR_RETURN(
-            BindingTable branch,
-            ExecutePattern(alt, bgp_needed, dict, metrics, cancel, profile));
-        AppendUnionIds(&unioned, branch);
-      }
-      table = ParallelHashJoin(table, unioned, &pool_,
-                               options_.join_partitions, &cancel);
-      if (cancel.Cancelled()) return cancel.StatusAt("union join");
-    }
-    for (const sparql::GraphPattern* opt : unpushed) {
-      LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable right,
-          ExecutePattern(*opt, bgp_needed, dict, metrics, cancel, profile));
-      table = JoinIds(table, right, /*left_outer=*/true);
-    }
-    Stopwatch filter_timer;
-    for (const sparql::Expr& f : residual_filters) {
-      FilterIds(&table, f, *dict);
-    }
-    profile->execution_ms += filter_timer.ElapsedMillis();
-  } else {
-    // No BGP at this level: pure UNION / OPTIONAL / VALUES group.
-    for (const auto& chain : pattern.unions) {
-      BindingTable unioned;
-      for (const sparql::GraphPattern& alt : chain) {
-        LUSAIL_ASSIGN_OR_RETURN(
-            BindingTable branch,
-            ExecutePattern(alt, bgp_needed, dict, metrics, cancel, profile));
-        AppendUnionIds(&unioned, branch);
-      }
-      if (!have_table) {
-        table = std::move(unioned);
-        have_table = true;
-      } else {
-        table = ParallelHashJoin(table, unioned, &pool_,
-                                 options_.join_partitions, &cancel);
-        if (cancel.Cancelled()) return cancel.StatusAt("union join");
-      }
-    }
-    if (!have_table) {
-      return Status::InvalidArgument("empty graph pattern");
-    }
-    for (const sparql::GraphPattern& opt : pattern.optionals) {
-      LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable right,
-          ExecutePattern(opt, bgp_needed, dict, metrics, cancel, profile));
-      table = JoinIds(table, right, /*left_outer=*/true);
-    }
-    for (const sparql::Expr& f : pattern.filters) {
-      FilterIds(&table, f, *dict);
-    }
+        table, ExecuteBgp(pattern.triples, bgp_filters, tail.optionals,
+                          PreOptionalJoinVars(pattern), bgp_needed, dict,
+                          metrics, cancel, profile, &unpushed,
+                          LimitCrossesBgp(tail) ? row_limit : 0));
+    // The pushed OPTIONALs leave the tail; the rest keep query order.
+    std::erase_if(tail.optionals, [&](const sparql::GraphPattern* opt) {
+      return std::find(unpushed.begin(), unpushed.end(), opt) ==
+             unpushed.end();
+    });
   }
 
-  // VALUES data blocks: intern and join.
-  for (const sparql::ValuesClause& vc : pattern.values) {
-    BindingTable values_table;
-    for (const sparql::Variable& v : vc.vars) values_table.vars.push_back(v.name);
-    std::vector<rdf::TermId> ids;
-    for (const auto& row : vc.rows) {
-      ids.clear();
-      for (const auto& cell : row) {
-        ids.push_back(cell.has_value() ? dict->Intern(*cell)
-                                       : rdf::kInvalidTermId);
-      }
-      values_table.AppendRow(ids);
-    }
-    table = fed::HashJoin(table, values_table);
-  }
-  return table;
+  // Nested groups account their own phases; the rest of the combiner's
+  // time is execution.
+  double nested_ms = 0.0;
+  auto nested = [&](const sparql::GraphPattern& block) {
+    Stopwatch nested_timer;
+    Result<BindingTable> out =
+        ExecutePattern(block, bgp_needed, dict, metrics, cancel, profile);
+    nested_ms += nested_timer.ElapsedMillis();
+    return out;
+  };
+  Stopwatch combine_timer;
+  Result<BindingTable> out =
+      CombineGroup(std::move(table), tail, nested, dict, &pool_,
+                   options_.join_partitions, &cancel);
+  profile->execution_ms += combine_timer.ElapsedMillis() - nested_ms;
+  return out;
 }
 
 Result<fed::FederatedResult> LusailEngine::Execute(

@@ -113,8 +113,8 @@ class LusailEngine : public fed::FederatedEngine {
   /// `candidate_optionals` are this group's OPTIONAL blocks; those whose
   /// locality analysis allows endpoint-side evaluation are pushed into
   /// subqueries, the rest are returned via `unpushed_optionals` for the
-  /// federator-level left join. `outside_vars` are variables referenced
-  /// by the rest of the query (other blocks, residual filters) — an
+  /// federator-level left join. `outside_vars` are the variables of the
+  /// blocks that join before the OPTIONALs (UNION chains, VALUES) — an
   /// optional may only be pushed when its overlap with them stays inside
   /// its host subquery. Appends phase timings/counters to `profile`.
   Result<fed::BindingTable> ExecuteBgp(
@@ -128,12 +128,12 @@ class LusailEngine : public fed::FederatedEngine {
       std::vector<const sparql::GraphPattern*>* unpushed_optionals,
       size_t row_limit = 0);
 
-  /// Recursive group evaluation: BGP, then UNION chains (inner join),
-  /// OPTIONAL blocks (left-outer join), VALUES, residual filters.
-  /// `row_limit` > 0 means any `row_limit` rows of this pattern satisfy
-  /// the caller (a top-level LIMIT without ORDER BY/DISTINCT): it is
-  /// forwarded to the BGP only when nothing at this level — UNION joins,
-  /// VALUES joins, residual filters — can discard rows afterwards.
+  /// Recursive group evaluation: the BGP through LADE/SAPE (a group
+  /// with no triples starts from the unit table), then the rest of the
+  /// group through core::CombineGroup, which recurses here for nested
+  /// groups. `row_limit` > 0 means any `row_limit` rows of this pattern
+  /// satisfy the caller (a top-level LIMIT without ORDER BY/DISTINCT): it
+  /// is forwarded to the BGP only when core::LimitCrossesBgp allows it.
   Result<fed::BindingTable> ExecutePattern(
       const sparql::GraphPattern& pattern,
       const std::set<std::string>& needed_vars, fed::SharedDictionary* dict,

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/group_pattern.h"
 #include "sparql/expr_eval.h"
 
 namespace lusail::core {
@@ -136,6 +137,11 @@ std::optional<uint64_t> LimitPushdownBound(const sparql::Query& query) {
   const uint64_t offset = query.offset.value_or(0);
   const uint64_t max = std::numeric_limits<uint64_t>::max();
   return *query.limit > max - offset ? max : offset + *query.limit;
+}
+
+bool LimitCrossesBgp(const GroupTail& tail) {
+  return tail.values.empty() && tail.unions.empty() && tail.filters.empty() &&
+         tail.exists.empty();
 }
 
 }  // namespace lusail::core

@@ -10,6 +10,8 @@
 
 namespace lusail::core {
 
+struct GroupTail;  // core/group_pattern.h
+
 /// Applies `query`'s solution modifiers to the joined solutions `rows`,
 /// in id space. Every federated path finishes through this one function
 /// (the Lusail engine, the FedX / SPLENDID / ANAPSID baselines and the
@@ -42,6 +44,14 @@ IdTable FinishSolutions(IdTable rows, const sparql::Query& query,
 /// answer. nullopt when every solution is needed. OFFSET itself is never
 /// pushed; FinishSolutions applies it once, after the gather.
 std::optional<uint64_t> LimitPushdownBound(const sparql::Query& query);
+
+/// Whether a LimitPushdownBound may cap the BGP of a group whose
+/// remaining blocks are `tail`: only when none of them can drop a BGP
+/// solution. VALUES blocks and UNION chains join, residual FILTERs and
+/// EXISTS filter; an OPTIONAL left join keeps every row, so it does not
+/// block. (Whether the BGP itself may stop early is the BGP strategy's
+/// own rule.)
+bool LimitCrossesBgp(const GroupTail& tail);
 
 }  // namespace lusail::core
 

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "core/solution_modifiers.h"
@@ -97,97 +96,6 @@ std::optional<uint64_t> CountFromResponse(const QueryResponse& response,
   const auto& cell = response.table.rows[0][static_cast<size_t>(idx)];
   if (!cell.has_value()) return std::nullopt;
   return ParseCount(*cell);
-}
-
-/// SPARQL compatibility on a shared-var tuple: unbound matches anything.
-bool CompatibleTuples(const std::vector<rdf::TermId>& a,
-                      const std::vector<rdf::TermId>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != rdf::kInvalidTermId && b[i] != rdf::kInvalidTermId &&
-        a[i] != b[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string TupleKey(const std::vector<rdf::TermId>& tuple) {
-  return std::string(reinterpret_cast<const char*>(tuple.data()),
-                     tuple.size() * sizeof(rdf::TermId));
-}
-
-/// EXISTS / NOT EXISTS as a (anti-)semi-join on the shared variables.
-/// Fully-bound tuples go through a hash set; rows with unbound shared
-/// cells (rare) fall back to a compatibility scan, so the semantics stay
-/// exact.
-void SemiFilter(IdTable* acc, const IdTable& inner, bool negated) {
-  std::vector<std::string> shared = IdTable::SharedVars(*acc, inner);
-  if (shared.empty()) {
-    bool exists = inner.NumRows() > 0;
-    if (negated ? exists : !exists) {
-      *acc = acc->SelectRows({});
-    }
-    return;
-  }
-  std::vector<int> acc_idx, inner_idx;
-  for (const std::string& v : shared) {
-    acc_idx.push_back(acc->VarIndex(v));
-    inner_idx.push_back(inner.VarIndex(v));
-  }
-  std::unordered_set<std::string> exact;
-  std::vector<std::vector<rdf::TermId>> wild;
-  std::vector<std::vector<rdf::TermId>> all;
-  all.reserve(inner.NumRows());
-  for (size_t r = 0; r < inner.NumRows(); ++r) {
-    std::vector<rdf::TermId> tuple(shared.size());
-    bool bound = true;
-    for (size_t c = 0; c < shared.size(); ++c) {
-      tuple[c] = inner_idx[c] < 0
-                     ? rdf::kInvalidTermId
-                     : inner.At(r, static_cast<size_t>(inner_idx[c]));
-      bound = bound && tuple[c] != rdf::kInvalidTermId;
-    }
-    if (bound) {
-      exact.insert(TupleKey(tuple));
-    } else {
-      wild.push_back(tuple);
-    }
-    all.push_back(std::move(tuple));
-  }
-  std::vector<uint32_t> kept;
-  kept.reserve(acc->NumRows());
-  for (size_t r = 0; r < acc->NumRows(); ++r) {
-    std::vector<rdf::TermId> tuple(shared.size());
-    bool bound = true;
-    for (size_t c = 0; c < shared.size(); ++c) {
-      tuple[c] = acc_idx[c] < 0
-                     ? rdf::kInvalidTermId
-                     : acc->At(r, static_cast<size_t>(acc_idx[c]));
-      bound = bound && tuple[c] != rdf::kInvalidTermId;
-    }
-    bool match;
-    if (bound) {
-      match = exact.count(TupleKey(tuple)) > 0;
-      if (!match) {
-        for (const auto& w : wild) {
-          if (CompatibleTuples(tuple, w)) {
-            match = true;
-            break;
-          }
-        }
-      }
-    } else {
-      match = false;
-      for (const auto& candidate : all) {
-        if (CompatibleTuples(tuple, candidate)) {
-          match = true;
-          break;
-        }
-      }
-    }
-    if (match != negated) kept.push_back(static_cast<uint32_t>(r));
-  }
-  if (kept.size() != acc->NumRows()) *acc = acc->SelectRows(kept);
 }
 
 /// A flat sub-pattern the star machinery covers wholesale: a non-empty
@@ -313,6 +221,11 @@ void ShardedEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
 
 bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
                                 bool top_level, Plan* plan) {
+  plan->pattern = &pattern;
+  plan->tail = core::GroupTail::Of(pattern);
+  plan->tail.filters.clear();
+  plan->tail.values.clear();
+
   // Stars: triples grouped by subject slot, in first-appearance order.
   std::vector<std::string> keys;
   for (const sparql::TriplePattern& tp : pattern.triples) {
@@ -347,7 +260,7 @@ bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
     }
     if (!pushed) {
       if (!top_level) return false;  // Correlated nested filter.
-      plan->residual_filters.push_back(filter);
+      plan->tail.filters.push_back(&filter);
     }
   }
 
@@ -366,7 +279,7 @@ bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
         break;
       }
     }
-    if (!pushed) plan->gather_values.push_back(vc);
+    if (!pushed) plan->tail.values.push_back(&vc);
   }
 
   if (!top_level) {
@@ -374,27 +287,23 @@ bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
            pattern.unions.empty();
   }
 
-  for (const sparql::GraphPattern& opt : pattern.optionals) {
-    if (!IsFlatPattern(opt)) return false;
+  // Nested groups: flat BGPs, planned with the same star machinery.
+  auto plan_nested = [&](const sparql::GraphPattern& block) {
     Plan sub;
-    if (!BuildPlan(opt, false, &sub)) return false;
-    plan->optionals.push_back(std::move(sub));
+    if (!IsFlatPattern(block) || !BuildPlan(block, false, &sub)) return false;
+    plan->nested.push_back(std::move(sub));
+    return true;
+  };
+  for (const sparql::GraphPattern& opt : pattern.optionals) {
+    if (!plan_nested(opt)) return false;
   }
   for (const auto& chain : pattern.unions) {
-    std::vector<Plan> alternatives;
     for (const sparql::GraphPattern& alt : chain) {
-      if (!IsFlatPattern(alt)) return false;
-      Plan sub;
-      if (!BuildPlan(alt, false, &sub)) return false;
-      alternatives.push_back(std::move(sub));
+      if (!plan_nested(alt)) return false;
     }
-    plan->unions.push_back(std::move(alternatives));
   }
   for (const sparql::ExistsFilter& ef : pattern.exists_filters) {
-    if (!IsFlatPattern(ef.pattern)) return false;
-    Plan sub;
-    if (!BuildPlan(ef.pattern, false, &sub)) return false;
-    plan->exists.emplace_back(ef.negated, std::move(sub));
+    if (!plan_nested(ef.pattern)) return false;
   }
   return true;
 }
@@ -452,11 +361,7 @@ void ShardedEndpoint::RoutePlan(Plan* plan) {
     pruned_shards_.fetch_add(n - candidates.size());
     star.shards = std::move(candidates);
   }
-  for (Plan& sub : plan->optionals) RoutePlan(&sub);
-  for (auto& chain : plan->unions) {
-    for (Plan& sub : chain) RoutePlan(&sub);
-  }
-  for (auto& [negated, sub] : plan->exists) RoutePlan(&sub);
+  for (Plan& sub : plan->nested) RoutePlan(&sub);
 }
 
 // --- Scatter --------------------------------------------------------------
@@ -603,43 +508,15 @@ Result<IdTable> ShardedEndpoint::EvaluatePlan(const Plan& plan,
     }
   }
 
-  // Mirror the evaluator's group ordering: UNION chains, then OPTIONAL
-  // blocks, then residual filters and EXISTS.
-  for (const auto& chain : plan.unions) {
-    IdTable unioned;
-    for (const Plan& alt : chain) {
-      LUSAIL_ASSIGN_OR_RETURN(IdTable alt_table,
-                              EvaluatePlan(alt, cancel, ctx));
-      core::AppendUnionIds(&unioned, alt_table);
-    }
-    acc = core::JoinIds(acc, unioned, /*left_outer=*/false);
-  }
-  for (const sparql::ValuesClause& vc : plan.gather_values) {
-    IdTable vt;
-    for (const sparql::Variable& v : vc.vars) vt.vars.push_back(v.name);
-    for (const auto& row : vc.rows) {
-      std::vector<rdf::TermId> ids;
-      ids.reserve(row.size());
-      for (const auto& cell : row) {
-        ids.push_back(cell.has_value() ? dict_->Intern(*cell)
-                                       : rdf::kInvalidTermId);
-      }
-      vt.AppendRow(ids);
-    }
-    acc = core::JoinIds(acc, vt, /*left_outer=*/false);
-  }
-  for (const Plan& opt : plan.optionals) {
-    LUSAIL_ASSIGN_OR_RETURN(IdTable fragment, EvaluatePlan(opt, cancel, ctx));
-    acc = core::JoinIds(acc, fragment, /*left_outer=*/true);
-  }
-  for (const sparql::Expr& filter : plan.residual_filters) {
-    core::FilterIds(&acc, filter, *dict_);
-  }
-  for (const auto& [negated, sub] : plan.exists) {
-    LUSAIL_ASSIGN_OR_RETURN(IdTable inner, EvaluatePlan(sub, cancel, ctx));
-    SemiFilter(&acc, inner, negated);
-  }
-  return acc;
+  return core::CombineGroup(
+      std::move(acc), plan.tail,
+      [&](const sparql::GraphPattern& block) -> Result<IdTable> {
+        for (const Plan& sub : plan.nested) {
+          if (sub.pattern == &block) return EvaluatePlan(sub, cancel, ctx);
+        }
+        return Status::Internal("nested group without a shard plan");
+      },
+      dict_.get(), /*pool=*/nullptr, /*partitions=*/1, &cancel);
 }
 
 // --- Entry points ---------------------------------------------------------
@@ -676,8 +553,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteDecomposed(
   // cardinalities through the COUNT cache tier instead of shipping rows.
   if (query.aggregate.has_value() && !query.aggregate->var.has_value() &&
       !query.aggregate->distinct && plan.stars.size() == 1 &&
-      plan.residual_filters.empty() && plan.gather_values.empty() &&
-      plan.optionals.empty() && plan.unions.empty() && plan.exists.empty()) {
+      plan.tail.empty()) {
     return ScatterCount(query, plan.stars.front(), cancel, ctx);
   }
 
@@ -685,9 +561,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteDecomposed(
   // row-dropping work, a shard never contributes more useful rows than
   // the query's pushdown bound.
   size_t star_limit = 0;
-  if (plan.stars.size() == 1 && plan.residual_filters.empty() &&
-      plan.gather_values.empty() && plan.optionals.empty() &&
-      plan.unions.empty() && plan.exists.empty()) {
+  if (plan.stars.size() == 1 && core::LimitCrossesBgp(plan.tail)) {
     star_limit = static_cast<size_t>(std::min<uint64_t>(
         core::LimitPushdownBound(query).value_or(0),
         std::numeric_limits<uint32_t>::max()));
@@ -765,10 +639,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
   RoutePlan(&plan);
 
   bool verdict = false;
-  bool simple = plan.stars.size() == 1 && plan.residual_filters.empty() &&
-                plan.gather_values.empty() && plan.optionals.empty() &&
-                plan.unions.empty() && plan.exists.empty();
-  if (simple) {
+  if (plan.stars.size() == 1 && plan.tail.empty()) {
     const StarGroup& star = plan.stars.front();
     // Canonical probe text: single clean patterns use the exact form
     // source selection caches under, so verdicts flow both ways.
@@ -927,11 +798,7 @@ void ShardedEndpoint::CollectShards(const Plan& plan, std::set<size_t>* out) {
   for (const auto& star : plan.stars) {
     out->insert(star.shards.begin(), star.shards.end());
   }
-  for (const auto& sub : plan.optionals) CollectShards(sub, out);
-  for (const auto& chain : plan.unions) {
-    for (const auto& sub : chain) CollectShards(sub, out);
-  }
-  for (const auto& [negated, sub] : plan.exists) CollectShards(sub, out);
+  for (const Plan& sub : plan.nested) CollectShards(sub, out);
 }
 
 }  // namespace lusail::shard

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/dictionary.h"
+#include "core/group_pattern.h"
 #include "core/id_table.h"
 #include "net/endpoint.h"
 #include "obs/json.h"
@@ -163,15 +164,14 @@ class ShardedEndpoint : public net::Endpoint {
     std::vector<size_t> shards;
   };
 
-  /// A flat sub-pattern (OPTIONAL block, UNION alternative, EXISTS body)
-  /// evaluated with the same star machinery and combined at the gather.
+  /// One group's stars, and what the gather runs after joining them
+  /// (core::CombineGroup over `tail`). Nested groups (OPTIONAL bodies,
+  /// UNION alternatives, EXISTS bodies) are flat and planned the same way.
   struct Plan {
+    const sparql::GraphPattern* pattern = nullptr;  ///< The group planned.
     std::vector<StarGroup> stars;
-    std::vector<sparql::Expr> residual_filters;   ///< Applied post-join.
-    std::vector<sparql::ValuesClause> gather_values;
-    std::vector<Plan> optionals;                  ///< Left-joined.
-    std::vector<std::vector<Plan>> unions;        ///< Joined union chains.
-    std::vector<std::pair<bool, Plan>> exists;    ///< (negated, body).
+    core::GroupTail tail;  ///< Filters and VALUES not pushed into a star.
+    std::vector<Plan> nested;
   };
 
   /// Builds a plan for `pattern`; false when the shape is outside the
@@ -196,7 +196,8 @@ class ShardedEndpoint : public net::Endpoint {
   /// When `star_limit` is non-zero each star subquery ships `LIMIT
   /// star_limit` to the shards — only safe when the caller proved the
   /// gather cannot need more than that many rows per shard (single
-  /// star, no gather-side joins, core::LimitPushdownBound holds).
+  /// star, core::LimitCrossesBgp over its tail, core::LimitPushdownBound
+  /// holds).
   Result<core::IdTable> EvaluatePlan(const Plan& plan,
                                      const CancelToken& cancel,
                                      ScatterContext* ctx,

@@ -261,6 +261,20 @@ class ShardedEndpointTest : public ::testing::Test {
   }
 
   /// Runs `text` on both and expects identical canonical rows.
+  /// Replaces the data with Small LUBM's three universities.
+  void LoadThreeUniversities() {
+    workload::LubmConfig config = workload::LubmConfig::Small();
+    config.num_universities = 3;
+    triples_.clear();
+    for (const auto& spec : workload::LubmGenerator(config).GenerateAll()) {
+      triples_.insert(triples_.end(), spec.triples.begin(),
+                      spec.triples.end());
+    }
+    oracle_ = std::make_shared<net::SparqlEndpoint>(
+        "oracle", StoreOf(triples_), net::LatencyModel::None());
+    Rebuild(shard::ShardedEndpointOptions{});
+  }
+
   void ExpectRowIdentical(const std::string& text) {
     auto expected = oracle_->Query(text);
     auto actual = sharded_->Query(text);
@@ -401,15 +415,7 @@ TEST_F(ShardedEndpointTest, DistinctWithHiddenOrderKeyIsRowIdentical) {
 TEST_F(ShardedEndpointTest, LubmSolutionModifiersMatchOracle) {
   // The solution-modifier queries of the cross-engine consistency test,
   // on three LUBM universities split over the 4 shards.
-  workload::LubmConfig config = workload::LubmConfig::Small();
-  config.num_universities = 3;
-  triples_.clear();
-  for (const auto& spec : workload::LubmGenerator(config).GenerateAll()) {
-    triples_.insert(triples_.end(), spec.triples.begin(), spec.triples.end());
-  }
-  oracle_ = std::make_shared<net::SparqlEndpoint>(
-      "oracle", StoreOf(triples_), net::LatencyModel::None());
-  Rebuild(shard::ShardedEndpointOptions{});
+  LoadThreeUniversities();
 
   const std::string ub =
       "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
@@ -442,6 +448,36 @@ TEST_F(ShardedEndpointTest, LubmSolutionModifiersMatchOracle) {
     sparql::ResultTable actual_table = ResponseTable(*actual);
     EXPECT_EQ(actual_table.vars, expected_table.vars) << text;
     EXPECT_EQ(actual_table.rows, expected_table.rows) << text;
+  }
+}
+
+TEST_F(ShardedEndpointTest, LubmGroupPatternsMatchOracle) {
+  // The group-pattern queries of the cross-engine consistency test
+  // (VALUES, UNION, OPTIONAL, FILTER, EXISTS), on three LUBM universities
+  // split over the 4 shards.
+  LoadThreeUniversities();
+  const std::string ub =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+  for (const char* body : {
+           "SELECT ?x ?t WHERE { ?x a ?t . ?x ub:name ?n . "
+           "VALUES ?t { ub:FullProfessor ub:Lecturer } }",
+           "SELECT ?x ?k WHERE { ?x a ub:FullProfessor . "
+           "VALUES ?k { 1 2 } FILTER(?k = 1) }",
+           "SELECT ?x ?a WHERE { ?x a ub:GraduateStudent . "
+           "OPTIONAL { ?x ub:advisor ?a } VALUES ?a { <http://nowhere/a> } }",
+           // Three universities: LIMIT 3 keeps every row.
+           "SELECT ?x ?n WHERE { ?x a ?t . ?x ub:name ?n . "
+           "VALUES ?t { ub:University } } LIMIT 3",
+           "SELECT ?k WHERE { VALUES ?k { 1 2 } }",
+           "SELECT ?x WHERE { OPTIONAL { ?x a ub:University } }",
+           "SELECT ?x ?n WHERE { ?x ub:name ?n . "
+           "{ ?x a ub:FullProfessor } UNION { ?x a ub:Lecturer } }",
+           "SELECT ?x WHERE { ?x ub:memberOf ?d . "
+           "FILTER EXISTS { ?x ub:advisor ?a } }",
+           "SELECT ?x WHERE { ?x ub:memberOf ?d . "
+           "FILTER NOT EXISTS { ?x ub:advisor ?a } }",
+       }) {
+    ExpectRowIdentical(ub + body);
   }
 }
 
