@@ -44,8 +44,7 @@ std::string GroupSparql(const std::vector<TriplePattern>& triples,
 AnapsidEngine::AnapsidEngine(const fed::Federation* federation,
                              AnapsidOptions options)
     : federation_(federation),
-      options_(options),
-      pool_(options.num_threads) {}
+      options_(options) {}
 
 std::vector<AnapsidEngine::StarGroup> AnapsidEngine::BuildStarGroups(
     const std::vector<TriplePattern>& triples,
@@ -105,7 +104,7 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
   if (pattern.triples.empty()) return combine(core::UnitTable());
 
   fed::PhaseSpan source_span(metrics, "source selection");
-  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+  fed::SourceSelector selector(federation_, &ask_cache_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
       selector.SelectSources(pattern.triples, metrics, deadline,
@@ -129,7 +128,8 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
   std::vector<StarGroup> groups = BuildStarGroups(
       pattern.triples, sources, pattern.filters, &tail.filters);
 
-  // Adaptive phase: dispatch every (group, endpoint) request at once.
+  // Adaptive phase: dispatch every (group, endpoint) request at once on
+  // the federation's request pool.
   struct Fetch {
     size_t group;
     std::future<Result<sparql::ResultTable>> result;
@@ -140,10 +140,11 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
     for (int ep : groups[g].sources) {
       Fetch fetch;
       fetch.group = g;
-      fetch.result = pool_.Submit([this, ep, text, metrics, deadline]() {
-        return federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                    deadline, Retry());
-      });
+      fetch.result =
+          federation_->SubmitRequest([this, ep, text, metrics, deadline]() {
+            return federation_->Execute(static_cast<size_t>(ep), text,
+                                        metrics, deadline, Retry());
+          });
       fetches.push_back(std::move(fetch));
     }
   }

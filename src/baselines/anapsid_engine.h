@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "federation/binding_table.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
@@ -14,7 +13,6 @@ namespace lusail::baselines {
 
 /// ANAPSID configuration.
 struct AnapsidOptions {
-  size_t num_threads = 0;
   bool use_cache = true;
 
   /// Client-side retry policy for endpoint requests (same decorator the
@@ -85,7 +83,6 @@ class AnapsidEngine : public fed::FederatedEngine {
 
   const fed::Federation* federation_;
   AnapsidOptions options_;
-  ThreadPool pool_;
   fed::AskCache ask_cache_;
 };
 

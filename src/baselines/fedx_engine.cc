@@ -48,8 +48,7 @@ std::string OperandSparql(const std::vector<TriplePattern>& triples,
 
 FedXEngine::FedXEngine(const fed::Federation* federation, FedXOptions options)
     : federation_(federation),
-      options_(options),
-      pool_(options.num_threads) {}
+      options_(options) {}
 
 std::string FedXEngine::name() const {
   return provider_ == nullptr ? "FedX" : "FedX+" + provider_->name();
@@ -72,7 +71,7 @@ Result<std::vector<std::vector<int>>> FedXEngine::SelectSources(
     }
   }
   if (!need_ask.empty()) {
-    fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+    fed::SourceSelector selector(federation_, &ask_cache_);
     LUSAIL_ASSIGN_OR_RETURN(
         std::vector<std::vector<int>> asked,
         selector.SelectSources(need_ask, metrics, deadline,

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "federation/binding_table.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
@@ -41,7 +40,6 @@ class SourceProvider {
 struct FedXOptions {
   /// Bindings per bound-join block (FedX ships 15 bindings per request).
   size_t bound_join_block_size = 15;
-  size_t num_threads = 0;
   bool use_cache = true;
 
   /// Client-side retry policy for endpoint requests (same decorator the
@@ -129,7 +127,6 @@ class FedXEngine : public fed::FederatedEngine {
 
   const fed::Federation* federation_;
   FedXOptions options_;
-  ThreadPool pool_;
   fed::AskCache ask_cache_;
   const SourceProvider* provider_ = nullptr;
 };

@@ -35,8 +35,7 @@ std::string PatternSparql(const TriplePattern& tp,
 SplendidEngine::SplendidEngine(const fed::Federation* federation,
                                SplendidOptions options)
     : federation_(federation),
-      options_(options),
-      pool_(options.num_threads) {}
+      options_(options) {}
 
 void SplendidEngine::BuildIndex() {
   Stopwatch timer;
@@ -81,7 +80,7 @@ Result<std::vector<int>> SplendidEngine::SourcesFor(
     return out;
   }
   // Variable predicate (or no index): ASK probes, SPLENDID-style.
-  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+  fed::SourceSelector selector(federation_, &ask_cache_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
       selector.SelectSources({tp}, metrics, deadline, /*use_cache=*/true));

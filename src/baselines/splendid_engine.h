@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "federation/binding_table.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
@@ -19,7 +18,6 @@ struct SplendidOptions {
   /// fetch-and-hash-join to bind joins.
   size_t bind_join_threshold = 200;
   size_t bind_join_block_size = 100;
-  size_t num_threads = 0;
 
   /// Record a span trace into ExecutionProfile::trace (same format as
   /// Lusail's, so engine traces are comparable side by side).
@@ -76,7 +74,6 @@ class SplendidEngine : public fed::FederatedEngine {
 
   const fed::Federation* federation_;
   SplendidOptions options_;
-  ThreadPool pool_;
   fed::AskCache ask_cache_;
   std::vector<VoidStats> index_;
   double index_build_millis_ = 0.0;

@@ -67,8 +67,9 @@ struct SubmittedQuery {
 };
 
 /// Multi-query serving layer: runs up to `max_concurrent` federated
-/// queries at once against one shared Federation, engine thread pool,
-/// cross-query FederationCache, and endpoint stats registry. Submit is
+/// queries at once against one shared Federation (and so its request
+/// pool), engine join pool, cross-query FederationCache, and endpoint
+/// stats registry. Submit is
 /// non-blocking — it either enqueues the query onto the service's worker
 /// pool and returns a future, or rejects immediately when the admission
 /// cap is reached. All engine state touched by concurrent queries (ASK /

@@ -14,17 +14,19 @@
 
 namespace lusail {
 
-/// Fixed-size worker pool. This is the paper's Elastic Request Handler
-/// (ERH): Lusail, the baselines, and the SAPE join phase schedule their
-/// endpoint requests and local join partitions through a pool sized by the
-/// number of physical cores (or an explicit thread count).
+/// Fixed-size worker pool. Uses: each fed::Federation's request pool
+/// (the paper's Elastic Request Handler, fed::kRequestThreads threads),
+/// Lusail's CPU pool for join partitions, the HTTP server's workers, and
+/// a ShardedEndpoint's scatter pool.
 ///
 /// Tasks are arbitrary callables; Submit returns a std::future for the
 /// callable's result. The pool drains remaining tasks on destruction.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers; 0 means
-  /// std::thread::hardware_concurrency() (minimum 2).
+  /// max(8, std::thread::hardware_concurrency()). The floor of 8 serves
+  /// callers whose tasks block on I/O, such as a ShardedEndpoint's
+  /// scatter pool (own_pool_threads = 0).
   explicit ThreadPool(size_t num_threads = 0);
 
   /// Joins all workers after draining the queue.

@@ -128,8 +128,8 @@ Status CostModel::CollectStatistics(
       probe.ep = ep;
       probe.cache_key = std::move(key);
       probe.endpoint_id = std::move(endpoint_id);
-      probe.result = pool_->Submit([this, ep, text, metrics, deadline,
-                                    retry]() {
+      probe.result = federation_->SubmitRequest([this, ep, text, metrics,
+                                                 deadline, retry]() {
         return federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                     deadline, retry);
       });

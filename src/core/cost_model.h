@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/options.h"
 #include "core/subquery.h"
 #include "federation/federation.h"
@@ -27,10 +26,11 @@ namespace lusail::core {
 ///   C(sq)        = max over sq's projected variables of C(sq, v)
 class CostModel {
  public:
-  CostModel(const fed::Federation* federation, ThreadPool* pool)
-      : federation_(federation), pool_(pool) {}
+  explicit CostModel(const fed::Federation* federation)
+      : federation_(federation) {}
 
-  /// Issues the COUNT probes (in parallel) and stores the statistics.
+  /// Issues the COUNT probes (in parallel, on the federation's request
+  /// pool) and stores the statistics.
   /// Probes go through `retry` when given. A failed probe normally fails
   /// collection; with `tolerate_failures` it is skipped instead — its
   /// (pattern, endpoint) count stays 0, biasing that subquery toward the
@@ -71,7 +71,6 @@ class CostModel {
 
  private:
   const fed::Federation* federation_;
-  ThreadPool* pool_;
   std::map<std::pair<int, int>, uint64_t> counts_;  ///< (tp, ep) -> count.
 };
 

@@ -31,7 +31,7 @@ struct DictionaryStats {
 /// fixed-width u64s, and only the final projected rows are decoded back
 /// to terms (late materialization).
 ///
-/// Sharded 16 ways to keep concurrent interning from SAPE's fetch pool
+/// Sharded 16 ways to keep concurrent interning from SAPE's fetches
 /// off a single mutex: id = (index_in_shard << 4) | shard. Terms live in
 /// per-shard deques, so `term(id)` hands out references that stay valid
 /// for the dictionary's lifetime — filter evaluation holds them across

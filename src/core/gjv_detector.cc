@@ -121,7 +121,8 @@ Result<GjvResult> GjvDetector::Detect(
     }
   }
 
-  // Execute the checks at their relevant endpoints through the pool.
+  // Execute the checks at their relevant endpoints through the
+  // federation's request pool.
   struct Pending {
     size_t check_index;
     std::string cache_key;
@@ -154,8 +155,9 @@ Result<GjvResult> GjvDetector::Detect(
       p.endpoint_id = federation_->id(ep);
       std::string text = check.query_text;
       p.nonempty =
-          pool_->Submit([this, ep, text = std::move(text), metrics,
-                         deadline, retry]() -> Result<bool> {
+          federation_->SubmitRequest([this, ep, text = std::move(text),
+                                      metrics, deadline,
+                                      retry]() -> Result<bool> {
             LUSAIL_ASSIGN_OR_RETURN(
                 sparql::ResultTable table,
                 federation_->Execute(static_cast<size_t>(ep), text, metrics,

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
 #include "sparql/ast.h"
@@ -63,9 +62,8 @@ struct GjvResult {
 /// by the paper's Lemma 2).
 class GjvDetector {
  public:
-  GjvDetector(const fed::Federation* federation, fed::AskCache* check_cache,
-              ThreadPool* pool)
-      : federation_(federation), cache_(check_cache), pool_(pool) {}
+  GjvDetector(const fed::Federation* federation, fed::AskCache* check_cache)
+      : federation_(federation), cache_(check_cache) {}
 
   /// Runs detection for `triples`, whose per-pattern relevant sources are
   /// `sources` (from source selection). `use_cache=false` forces fresh
@@ -91,7 +89,6 @@ class GjvDetector {
  private:
   const fed::Federation* federation_;
   fed::AskCache* cache_;
-  ThreadPool* pool_;
 };
 
 }  // namespace lusail::core

@@ -222,7 +222,7 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
     }
   }
 
-  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+  fed::SourceSelector selector(federation_, &ask_cache_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
       selector.SelectSources(combined, &metrics, deadline,
@@ -230,12 +230,12 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   out.sources.assign(sources.begin(),
                      sources.begin() + query.where.triples.size());
 
-  GjvDetector detector(federation_, &check_cache_, &pool_);
+  GjvDetector detector(federation_, &check_cache_);
   LUSAIL_ASSIGN_OR_RETURN(
       out.gjvs, detector.Detect(combined, sources, &metrics, deadline,
                                 options_.use_cache, retry, tolerate));
 
-  CostModel cost_model(federation_, &pool_);
+  CostModel cost_model(federation_);
   LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
       query.where.triples, out.sources, query.where.filters, &metrics,
       deadline, retry, tolerate, options_.use_cache));
@@ -320,7 +320,7 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
   const net::RetryPolicy* retry =
       options_.retry_policy.enabled() ? &options_.retry_policy : nullptr;
   const bool tolerate = options_.partial_results;
-  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+  fed::SourceSelector selector(federation_, &ask_cache_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
       selector.SelectSources(combined, metrics, deadline, options_.use_cache,
@@ -349,7 +349,7 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
   // statistics, and decomposition of the mandatory BGP.
   timer.Restart();
   fed::PhaseSpan lade_span(metrics, "LADE analysis");
-  GjvDetector detector(federation_, &check_cache_, &pool_);
+  GjvDetector detector(federation_, &check_cache_);
   Decomposition decomposition;
   GjvResult gjvs;
   {
@@ -359,7 +359,7 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
                                             deadline, options_.use_cache,
                                             retry, tolerate));
   }
-  CostModel cost_model(federation_, &pool_);
+  CostModel cost_model(federation_);
   {
     fed::PhaseSpan stats_span(metrics, "statistics");
     LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(

@@ -142,7 +142,7 @@ class LusailEngine : public fed::FederatedEngine {
 
   const fed::Federation* federation_;
   LusailOptions options_;
-  ThreadPool pool_;
+  ThreadPool pool_;  ///< Join partitions only; requests use the federation's.
   fed::AskCache ask_cache_;
   fed::AskCache check_cache_;
   std::shared_ptr<fed::SharedDictionary> dict_;

@@ -50,8 +50,11 @@ struct LusailOptions {
   /// subqueries.
   size_t bound_join_block_size = 50;
 
-  /// Worker threads for the Elastic Request Handler; 0 = hardware
-  /// concurrency.
+  /// Worker threads of the engine's CPU pool, which runs only join
+  /// partitions (SAPE's partitioned hash join, the group combiner's UNION
+  /// joins). 0 = ThreadPool's default, max(8, hardware concurrency).
+  /// Endpoint requests never run here: they go to the federation's
+  /// request pool (fed::Federation::SubmitRequest, fed::kRequestThreads).
   size_t num_threads = 0;
 
   /// Sample size for the delayed-subquery source-refinement ASK probes

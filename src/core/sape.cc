@@ -149,7 +149,7 @@ Result<BindingTable> SapeExecutor::FetchEndpoint(
     const net::RetryPolicy* retry, obs::SpanId trace_parent) {
   // Queued fetches whose token already fired bail before touching the
   // wire — crucial when many (subquery, endpoint) tasks are backed up
-  // behind a cancelled query in the pool.
+  // behind a cancelled query in the request pool.
   if (cancel.Cancelled()) return cancel.StatusAt("endpoint fetch");
   cache::FederationCache* shared =
       (cacheable && options_->use_cache && options_->result_cache)
@@ -232,7 +232,7 @@ Result<BindingTable> SapeExecutor::RunEverywhere(
   std::vector<std::future<Result<BindingTable>>> futures;
   futures.reserve(sq.sources.size());
   for (int ep : sq.sources) {
-    futures.push_back(pool_->Submit(
+    futures.push_back(federation_->SubmitRequest(
         [this, ep, text, cache_key, cacheable, dict, metrics, cancel, retry,
          trace_parent, budget, projection = sq.projection]() {
           if (budget.CancelRequested()) {
@@ -295,7 +295,7 @@ Result<BindingTable> SapeExecutor::Execute(
 
   obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
   // Opens a "subquery" span under the current phase span. Spans are
-  // created on this thread and handed to pool tasks as explicit request
+  // created on this thread and handed to request tasks as explicit request
   // parents, so concurrent subqueries nest their requests correctly.
   auto start_sq_span = [&](size_t i, const char* mode) -> obs::SpanId {
     if (tracer == nullptr) return 0;
@@ -344,8 +344,8 @@ Result<BindingTable> SapeExecutor::Execute(
   }
 
   // ---- Phase 1: non-delayed subqueries, all concurrent. ----
-  // Every (subquery, endpoint) request is one flat pool task (no nested
-  // waits inside workers — the pool can be as small as two threads), so
+  // Every (subquery, endpoint) request is one flat request-pool task that
+  // never waits on another (this thread is the only one that waits), so
   // all non-delayed subqueries are in flight at once, non-blocking, as in
   // Algorithm 3 lines 6-7.
   struct Fetch {
@@ -375,7 +375,7 @@ Result<BindingTable> SapeExecutor::Execute(
       Fetch fetch;
       fetch.sq_index = i;
       fetch.endpoint = ep;
-      fetch.result = pool_->Submit(
+      fetch.result = federation_->SubmitRequest(
           [this, ep, text, dict, metrics, cancel, retry, span]() {
             return FetchEndpoint(ep, text, /*cache_key=*/text,
                                  /*cacheable=*/true, dict, metrics, cancel,
@@ -563,8 +563,9 @@ Result<BindingTable> SapeExecutor::Execute(
           options_->use_cache ? federation_->query_cache() : nullptr;
       std::vector<std::future<Result<bool>>> probes;
       for (int ep : sources) {
-        probes.push_back(pool_->Submit([this, ep, ask_text, metrics,
-                                        cancel, retry, sq_span, shared]() {
+        probes.push_back(federation_->SubmitRequest([this, ep, ask_text,
+                                                     metrics, cancel, retry,
+                                                     sq_span, shared]() {
           if (cancel.Cancelled()) {
             return Result<bool>(cancel.StatusAt("source refinement"));
           }

@@ -19,14 +19,16 @@ namespace lusail::core {
 /// Algorithm 3).
 ///
 /// Phase 1 submits every non-delayed subquery to all of its relevant
-/// endpoints concurrently (one task per endpoint through the Elastic
-/// Request Handler pool), unions each subquery's per-endpoint results,
+/// endpoints concurrently (one task per endpoint through the federation's
+/// request pool, the Elastic Request Handler), unions each subquery's
+/// per-endpoint results,
 /// and eagerly joins connected results. Phase 2 evaluates the delayed
 /// subqueries in increasing refined-cardinality order as bound joins:
 /// the already-found bindings of a shared variable are shipped in VALUES
 /// blocks; generic single-pattern subqueries first refine their relevant
 /// sources with sampled ASK probes. The global join runs as a parallel
-/// partitioned hash join in the order chosen by the DP join optimizer.
+/// partitioned hash join in the order chosen by the DP join optimizer;
+/// `pool` runs only those join partitions, never an endpoint request.
 class SapeExecutor {
  public:
   SapeExecutor(const fed::Federation* federation, ThreadPool* pool,
@@ -62,8 +64,8 @@ class SapeExecutor {
   /// binding ids — they key the shared result cache via an id-space
   /// fingerprint instead of hashing the serialized block. Requests are
   /// traced as children of `trace_parent` (the subquery's span) — an
-  /// explicit parent, because requests run on pool threads while the
-  /// collector's default parent tracks the caller's current phase.
+  /// explicit parent, because requests run on request-pool threads while
+  /// the collector's default parent tracks the caller's current phase.
   /// `row_limit` > 0 appends a LIMIT clause to the generated text (any
   /// `row_limit` rows satisfy the caller) and arms a row budget: once the
   /// running union holds that many rows, a budget token fires and every

@@ -4,11 +4,33 @@
 
 #include <cctype>
 #include <optional>
+#include <utility>
 
 #include "common/string_util.h"
 #include "obs/trace_context.h"
 
 namespace lusail::fed {
+
+namespace {
+
+/// The queue wait of the request task running on this thread, until its
+/// first request span takes it (Federation::QueuedScope).
+thread_local std::optional<double> t_queued_ms;
+
+}  // namespace
+
+Federation::QueuedScope::QueuedScope(double queued_ms) {
+  t_queued_ms = queued_ms;
+}
+
+Federation::QueuedScope::~QueuedScope() { t_queued_ms.reset(); }
+
+ThreadPool& Federation::RequestPool() const {
+  std::call_once(request_pool_once_, [this] {
+    request_pool_ = std::make_unique<ThreadPool>(kRequestThreads);
+  });
+  return *request_pool_;
+}
 
 QueryTrace::QueryTrace(bool enabled, const std::string& engine_name,
                        MetricsCollector* metrics)
@@ -82,6 +104,8 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
                            endpoint_id);
   }
   bool is_ask = LooksLikeAskQuery(text);
+  // Only the first request of a dispatched task waited in the queue.
+  std::optional<double> queued_ms = std::exchange(t_queued_ms, std::nullopt);
   obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
   obs::SpanId span = 0;
   if (tracer != nullptr) {
@@ -90,6 +114,9 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
     span = tracer->StartSpan("request " + endpoint_id, "request", parent);
     tracer->Annotate(span, "endpoint", endpoint_id);
     tracer->Annotate(span, "is_ask", is_ask);
+    if (queued_ms.has_value()) {
+      tracer->Annotate(span, "queued_ms", *queued_ms);
+    }
   }
 
   // While the endpoint call runs, downstream layers (the HTTP client,

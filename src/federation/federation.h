@@ -4,15 +4,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "federation/binding_table.h"
 #include "net/endpoint.h"
 #include "net/resilience.h"
@@ -321,12 +325,21 @@ class QueryTrace {
 /// fed:: is where federated engines historically found it.
 using ::lusail::LooksLikeAskQuery;
 
+/// Threads in every Federation's request pool: how many endpoint
+/// requests one federation keeps in flight at once, across all engines
+/// and concurrent queries on it. A constant, not an option; see
+/// Federation::SubmitRequest and DESIGN.md "Request dispatch" for the
+/// sizing.
+inline constexpr size_t kRequestThreads = 16;
+
 /// The registry of endpoints a federated query runs against, plus the
 /// request path every engine uses (with per-query accounting and
 /// cooperative deadline checks).
 class Federation {
  public:
   Federation() = default;
+  Federation(const Federation&) = delete;
+  Federation& operator=(const Federation&) = delete;
 
   /// Registers an endpoint; returns its index. A circuit breaker is
   /// created alongside it (engaged only by retry-policy executions).
@@ -402,7 +415,46 @@ class Federation {
                    const net::RetryPolicy* retry = nullptr,
                    obs::SpanId trace_parent = 0) const;
 
+  /// Runs `fn` on the federation's request pool and returns its future.
+  /// This is the paper's Elastic Request Handler: every endpoint-request
+  /// fan-out (ASK probes, locality checks, COUNT probes, subquery and
+  /// bound-join fetches, refinement probes) goes through here, never
+  /// through an engine's CPU pool, so a fan-out to n <= kRequestThreads
+  /// endpoints costs one round trip however few cores the engine uses.
+  /// The first request `fn` issues annotates its trace span with
+  /// "queued_ms", the time from this call until a pool thread took it.
+  ///
+  /// Rule: `fn` must never wait on another SubmitRequest future. With a
+  /// fixed pool, a task that waits for a queued task can deadlock once
+  /// every thread does it. So the coordinators that fan out and wait
+  /// (source selection, LADE probes, SAPE phases) run on the caller's
+  /// thread; ReplicaGroup hedges keep their own threads, and a
+  /// ShardedEndpoint scatters on its own pool.
+  template <typename Fn>
+  auto SubmitRequest(Fn fn) const -> std::future<std::invoke_result_t<Fn&>> {
+    ThreadPool& pool = RequestPool();
+    Stopwatch submitted;
+    return pool.Submit([fn = std::move(fn), submitted]() mutable {
+      QueuedScope scope(submitted.ElapsedMillis());
+      return fn();
+    });
+  }
+
  private:
+  /// Publishes a request task's queue wait to the first request span the
+  /// running thread opens (see SubmitRequest); cleared on destruction.
+  class QueuedScope {
+   public:
+    explicit QueuedScope(double queued_ms);
+    ~QueuedScope();
+    QueuedScope(const QueuedScope&) = delete;
+    QueuedScope& operator=(const QueuedScope&) = delete;
+  };
+
+  /// The request pool, started on first use so a federation that never
+  /// fans out spawns no threads.
+  ThreadPool& RequestPool() const;
+
   /// Shared body of Execute/ExecuteEncoded: the full request path with
   /// accounting, tracing, and endpoint-stats recording, representation
   /// untouched (the response may carry a string table or an IdTable).
@@ -416,6 +468,10 @@ class Federation {
   net::CircuitBreakerConfig breaker_config_;
   obs::EndpointStatsRegistry* stats_ = nullptr;
   cache::FederationCache* query_cache_ = nullptr;
+  // Declared last: destroyed first, so pool threads stop (draining any
+  // queued request) while the endpoints they call are still alive.
+  mutable std::once_flag request_pool_once_;
+  mutable std::unique_ptr<ThreadPool> request_pool_;
 };
 
 /// Result of a federated query: the final table plus the cost profile.

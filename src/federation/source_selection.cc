@@ -84,7 +84,7 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
       probe.endpoint = ei;
       probe.cache_key = std::move(key);
       std::string text = AskQueryText(patterns[pi]);
-      probe.result = pool_->Submit(
+      probe.result = federation_->SubmitRequest(
           [this, ei, text = std::move(text), metrics, deadline, retry]() {
             return federation_->Ask(ei, text, metrics, deadline, retry);
           });

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "federation/federation.h"
 #include "sparql/ast.h"
 
@@ -63,12 +62,12 @@ std::string AskQueryText(const sparql::TriplePattern& tp);
 
 /// ASK-based source selection shared by Lusail and the FedX baseline:
 /// every triple pattern is probed at every endpoint (in parallel through
-/// the pool), except where the cache already knows the answer.
+/// the federation's request pool), except where the cache already knows
+/// the answer. SelectSources waits for its probes on the caller's thread.
 class SourceSelector {
  public:
-  SourceSelector(const Federation* federation, AskCache* cache,
-                 ThreadPool* pool)
-      : federation_(federation), cache_(cache), pool_(pool) {}
+  SourceSelector(const Federation* federation, AskCache* cache)
+      : federation_(federation), cache_(cache) {}
 
   /// Returns, per triple pattern, the sorted list of endpoint indices
   /// with at least one matching triple. `use_cache=false` forces fresh
@@ -87,7 +86,6 @@ class SourceSelector {
  private:
   const Federation* federation_;
   AskCache* cache_;
-  ThreadPool* pool_;
 };
 
 }  // namespace lusail::fed

@@ -87,7 +87,7 @@ struct ReplicaGroupStats {
 /// until all of them have drained, so a group can be destroyed (or the
 /// process exited under TSan) while a cancelled loser is still unwinding.
 ///
-/// Thread-safe: concurrent Query* calls from engine worker pools are the
+/// Thread-safe: concurrent Query* calls from request-pool threads are the
 /// expected usage.
 class ReplicaGroup : public Endpoint {
  public:

@@ -8,12 +8,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -47,13 +50,6 @@ HttpResponse ErrorResponse(int status, StatusCode code,
   body.Set("error", message);
   return JsonResponse(status, std::move(body));
 }
-
-/// How long a worker waits for the next request on an idle keep-alive
-/// connection before handing it back to the pool. Bounds the scheduling
-/// latency a pending connection sees when every worker is probing an
-/// idle one (a few slices at worst), while keeping the re-queue churn
-/// of a fully idle server to ~40 task hops per connection per second.
-constexpr int kIdlePollSliceMs = 25;
 
 /// How often the watchdog probes in-flight connections for disconnect.
 /// Bounds how long an abandoned evaluation can outlive its client; kept
@@ -175,9 +171,18 @@ Status HttpServer::Start() {
     port_ = ntohs(addr.sin_port);
   }
 
+  if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    Status status = Status::Unavailable(std::string("pipe2() failed: ") +
+                                        std::strerror(errno));
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return status;
+  }
+  SetNonBlocking(listen_fd_);
+  poller_exited_ = false;
   workers_ = std::make_unique<ThreadPool>(options_.num_threads);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  poll_thread_ = std::thread([this] { PollLoop(); });
   watchdog_thread_ = std::thread([this] { WatchLoop(); });
   return Status::OK();
 }
@@ -186,17 +191,19 @@ void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
 
-  // Unblock accept() and stop new connections.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Stop accepting. The poller closes every idle connection on its way
+  // out; connections handed back after that are closed by their worker.
+  WakePoller();
+  if (poll_thread_.joinable()) poll_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
 
-  // Graceful connection drain: shutting down the *read* side makes every
-  // idle keep-alive read return EOF immediately while in-flight responses
-  // still write out. Handlers then close their fds and unregister.
+  // Graceful connection drain: shutting down the *read* side of the
+  // connections still being served makes their next read return EOF
+  // while in-flight responses still write out. Workers then close their
+  // fds and unregister.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (int fd : active_fds_) ::shutdown(fd, SHUT_RD);
@@ -214,6 +221,12 @@ void HttpServer::Stop() {
     conn_drained_.wait(lock, [this] { return active_fds_.empty(); });
   }
   workers_.reset();  // Drains remaining (already-finished) tasks.
+  // Workers write wake bytes only under poll_mu_ while the poller runs,
+  // so nothing touches the pipe any more.
+  for (int& fd : wake_fds_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
 }
 
 std::string HttpServer::url() const {
@@ -282,18 +295,84 @@ void HttpServer::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
                        static_cast<double>(s.bytes_out));
 }
 
-void HttpServer::AcceptLoop() {
+struct HttpServer::ConnState {
+  explicit ConnState(int fd) : http(fd) {}
+  HttpConnection http;
+  /// Time since the connection was accepted or last finished a request;
+  /// the poller closes it once this passes idle_timeout_ms.
+  Stopwatch idle;
+};
+
+void HttpServer::PollLoop() {
+  std::vector<std::shared_ptr<ConnState>> idle;
+  std::vector<struct pollfd> fds;
   while (!stopping_.load(std::memory_order_acquire)) {
+    {
+      std::lock_guard<std::mutex> lock(poll_mu_);
+      for (auto& conn : returned_) idle.push_back(std::move(conn));
+      returned_.clear();
+    }
+    // Close connections past the idle timeout; sleep at most until the
+    // next one is due.
+    int timeout_ms = -1;
+    std::erase_if(idle, [&](const std::shared_ptr<ConnState>& conn) {
+      double left = options_.idle_timeout_ms - conn->idle.ElapsedMillis();
+      if (left <= 0) {
+        CloseConnection(conn.get());
+        return true;
+      }
+      int wait = static_cast<int>(std::ceil(std::min(left, 1e9)));
+      if (timeout_ms < 0 || wait < timeout_ms) timeout_ms = wait;
+      return false;
+    });
+
+    fds.clear();
+    fds.push_back({listen_fd_, POLLIN, 0});
+    fds.push_back({wake_fds_[0], POLLIN, 0});
+    for (const auto& conn : idle) fds.push_back({conn->http.fd(), POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (fds[1].revents != 0) {
+      char drain[64];
+      while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
+      }
+    }
+    // Readable (data, EOF, or error) connections go to a worker, whose
+    // ReadRequest classifies them; the rest stay idle.
+    std::vector<std::shared_ptr<ConnState>> quiet;
+    for (size_t k = 0; k < idle.size(); ++k) {
+      if (fds[k + 2].revents == 0) {
+        quiet.push_back(std::move(idle[k]));
+        continue;
+      }
+      workers_->Submit([this, conn = std::move(idle[k])]() mutable {
+        ServeConnection(std::move(conn));
+      });
+    }
+    idle.swap(quiet);
+    if (fds[0].revents != 0) AcceptPending(&idle);
+  }
+
+  std::vector<std::shared_ptr<ConnState>> returned;
+  {
+    std::lock_guard<std::mutex> lock(poll_mu_);
+    poller_exited_ = true;
+    returned.swap(returned_);
+  }
+  for (auto& conn : idle) CloseConnection(conn.get());
+  for (auto& conn : returned) CloseConnection(conn.get());
+}
+
+void HttpServer::AcceptPending(std::vector<std::shared_ptr<ConnState>>* idle) {
+  for (;;) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // Closed or shut down: exit. (Transient EMFILE etc. also lands
-      // here; a demo server need not distinguish.)
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED) {
-        continue;
-      }
-      break;
+      // EAGAIN: nothing left to accept. Other errors (ECONNABORTED,
+      // EMFILE, ...) end this round; poll() reports the listener again.
+      return;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     SetNonBlocking(fd);
@@ -303,43 +382,14 @@ void HttpServer::AcceptLoop() {
       std::lock_guard<std::mutex> lock(conn_mu_);
       active_fds_.insert(fd);
     }
-    auto conn = std::make_shared<ConnState>(fd);
-    workers_->Submit([this, conn] { ServeConnection(conn); });
+    idle->push_back(std::make_shared<ConnState>(fd));
   }
 }
 
-struct HttpServer::ConnState {
-  explicit ConnState(int fd) : http(fd) {}
-  HttpConnection http;
-  /// Time since the connection was accepted or last finished a request;
-  /// compared against idle_timeout_ms across re-queues.
-  Stopwatch idle;
-};
-
 void HttpServer::ServeConnection(std::shared_ptr<ConnState> conn) {
   const int fd = conn->http.fd();
+  bool keep = false;
   while (!stopping_.load(std::memory_order_acquire)) {
-    // Wait for the next request in short poll slices. If none arrives
-    // within a slice, yield: re-queue this connection and free the
-    // worker, so open keep-alive connections never pin more than one
-    // worker each while they actually have traffic. (Pipelined bytes
-    // already buffered skip the poll — poll() can't see them.)
-    if (!conn->http.HasBufferedData()) {
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      int ready = ::poll(&pfd, 1, kIdlePollSliceMs);
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready == 0) {
-        if (conn->idle.ElapsedMillis() >= options_.idle_timeout_ms) break;
-        if (stopping_.load(std::memory_order_acquire)) break;
-        workers_->Submit([this, conn] { ServeConnection(conn); });
-        return;  // Worker freed; the connection stays in active_fds_.
-      }
-      // ready > 0 (data, EOF, or error) and poll errors both fall
-      // through to ReadRequest, which classifies them properly.
-    }
     bool clean_close = false;
     Result<HttpRequest> request = conn->http.ReadRequest(
         options_.limits, Deadline::AfterMillis(options_.request_timeout_ms),
@@ -375,25 +425,57 @@ void HttpServer::ServeConnection(std::shared_ptr<ConnState> conn) {
       // connection; an aborted one is closed so the client sees the
       // missing terminal chunk as truncation.
       if (!stream.keep_alive_ok || !keep_alive) break;
-      conn->idle = Stopwatch();
-      continue;
+    } else {
+      if (!keep_alive) response.SetHeader("Connection", "close");
+      std::string wire = response.Serialize();
+      Status sent = SendAll(
+          fd, wire, Deadline::AfterMillis(options_.request_timeout_ms));
+      if (!sent.ok()) break;
+      bytes_out_.fetch_add(wire.size(), std::memory_order_relaxed);
+      if (!keep_alive) break;
     }
-    if (!keep_alive) response.SetHeader("Connection", "close");
-    std::string wire = response.Serialize();
-    Status sent = SendAll(
-        fd, wire, Deadline::AfterMillis(options_.request_timeout_ms));
-    if (!sent.ok()) break;
-    bytes_out_.fetch_add(wire.size(), std::memory_order_relaxed);
-    if (!keep_alive) break;
     conn->idle = Stopwatch();  // Request served: restart the idle clock.
+    // Pipelined bytes already buffered are invisible to poll(): serve
+    // them here. Otherwise the poller waits for the next request.
+    if (!conn->http.HasBufferedData()) {
+      keep = true;
+      break;
+    }
   }
+  if (keep && !stopping_.load(std::memory_order_acquire)) {
+    ReturnToPoller(std::move(conn));
+  } else {
+    CloseConnection(conn.get());
+  }
+}
+
+void HttpServer::ReturnToPoller(std::shared_ptr<ConnState> conn) {
+  {
+    std::lock_guard<std::mutex> lock(poll_mu_);
+    if (!poller_exited_) {
+      returned_.push_back(std::move(conn));
+      // Under the lock, so Stop() cannot close the pipe in between.
+      WakePoller();
+      return;
+    }
+  }
+  CloseConnection(conn.get());
+}
+
+void HttpServer::CloseConnection(ConnState* conn) {
   bytes_in_.fetch_add(conn->http.bytes_read(), std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    active_fds_.erase(fd);
-    ::close(fd);
+    active_fds_.erase(conn->http.fd());
+    ::close(conn->http.fd());
   }
   conn_drained_.notify_all();
+}
+
+void HttpServer::WakePoller() {
+  // A full pipe already holds a pending wake-up; EAGAIN is fine.
+  char byte = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
 void HttpServer::WatchLoop() {

@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/cancel.h"
 #include "common/status.h"
@@ -128,17 +129,18 @@ struct HttpServerStats {
 /// so a client that hangs up never keeps a server core busy; Stop() also
 /// fires every in-flight token for a fast graceful drain.
 ///
-/// Connections are keep-alive (HTTP/1.1 semantics). A worker thread
-/// drives a connection only while a request is pending; between requests
-/// the connection is re-queued onto the pool, so any number of open
-/// keep-alive connections share num_threads workers without starving the
-/// accept queue (a thread-per-connection loop deadlocks the moment
-/// concurrent connections exceed workers: parked workers wait out the
-/// idle timeout while queued connections wait for a worker). Reads and
-/// writes are bounded by the request/idle deadlines in the options.
-/// Stop() is graceful: it stops accepting, shuts down the read side of
-/// every open connection, and waits for in-flight requests to finish
-/// writing their responses.
+/// Connections are keep-alive (HTTP/1.1 semantics) and readiness-polled.
+/// One poll thread poll()s the listener, a wake pipe and every idle
+/// keep-alive connection, and hands a connection to a worker only once
+/// it is readable. The worker serves requests while bytes are buffered,
+/// then gives the connection back to the poller. So any number of idle
+/// connections share num_threads workers, and a worker never waits on a
+/// quiet socket while a ready one queues behind it. The poller closes
+/// connections idle for idle_timeout_ms; request reads and response
+/// writes are bounded by request_timeout_ms. Stop() is graceful: it stops
+/// accepting, closes idle connections, shuts down the read side of every
+/// connection still being served, and waits for in-flight requests to
+/// finish writing their responses.
 class HttpServer {
  public:
   /// Serves `endpoint` (shared; several servers may front one endpoint).
@@ -181,11 +183,24 @@ class HttpServer {
  private:
   /// Per-connection state that outlives any single worker task: the
   /// buffered reader (possibly holding pipelined bytes) and the idle
-  /// clock. Shared between re-queued servicing tasks.
+  /// clock. Owned by the poller while idle, by one worker while served.
   struct ConnState;
 
-  void AcceptLoop();
+  /// The poll thread: accepts, watches idle connections for readability,
+  /// dispatches readable ones to workers, and enforces the idle timeout.
+  void PollLoop();
+  /// Accepts every pending connection onto `idle`.
+  void AcceptPending(std::vector<std::shared_ptr<ConnState>>* idle);
+  /// Serves requests on a readable connection while bytes are buffered,
+  /// then returns it to the poller (or closes it).
   void ServeConnection(std::shared_ptr<ConnState> conn);
+  /// Hands a served connection back to the poller; closes it instead when
+  /// the poller has already exited (Stop()).
+  void ReturnToPoller(std::shared_ptr<ConnState> conn);
+  /// Closes the socket, accounts its bytes, and unregisters it.
+  void CloseConnection(ConnState* conn);
+  /// Interrupts the poller's poll() (returned connections, Stop()).
+  void WakePoller();
   void WatchLoop();
 
   /// Set by a handler that wrote its response to the socket itself
@@ -210,8 +225,15 @@ class HttpServer {
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
+  std::thread poll_thread_;
   std::unique_ptr<ThreadPool> workers_;
+
+  /// Self-pipe: a byte written to wake_fds_[1] ends the poller's poll().
+  int wake_fds_[2] = {-1, -1};
+  /// Connections workers handed back, not yet picked up by the poller.
+  std::mutex poll_mu_;
+  std::vector<std::shared_ptr<ConnState>> returned_;
+  bool poller_exited_ = false;  ///< Guarded by poll_mu_.
 
   std::mutex conn_mu_;
   std::condition_variable conn_drained_;

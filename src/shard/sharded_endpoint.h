@@ -39,12 +39,13 @@ struct ShardedEndpointOptions {
 
   /// Pool the scatter requests run on. Must NOT be a pool whose workers
   /// can block inside ShardedEndpoint::Query* (the scatter-gather caller
-  /// waits for its fan-out futures, so sharing the engine's SAPE pool
-  /// would deadlock under load). Null means the endpoint owns a private
-  /// pool of `own_pool_threads` workers.
+  /// waits for its fan-out futures, so sharing the federation's request
+  /// pool would deadlock under load). Null means the endpoint owns a
+  /// private pool of `own_pool_threads` workers.
   ThreadPool* pool = nullptr;
 
-  /// Worker count for the private pool (0 = hardware concurrency).
+  /// Worker count for the private pool (0 = ThreadPool's default,
+  /// max(8, hardware concurrency)).
   size_t own_pool_threads = 0;
 };
 

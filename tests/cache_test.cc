@@ -439,6 +439,59 @@ TEST_F(SharedCacheLubmTest, ConcurrentQueriesMatchSequential) {
   federation_->set_query_cache(nullptr);
 }
 
+/// Concurrent queries share the federation's request pool, not the
+/// engine's CPU pool: with a 1-thread engine and 4 endpoints one round
+/// trip away, two queries at once still probe their sources in
+/// parallel, and both return the rows a sequential run returns.
+TEST(QueryServiceTest, ConcurrentQueriesShareTheFederationRequestPool) {
+  constexpr double kRttMs = 25.0;
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = 4;
+  workload::LubmGenerator generator(config);
+  auto federation = workload::BuildFederation(
+      generator.GenerateAll(),
+      net::LatencyModel{/*request_latency_ms=*/kRttMs,
+                        /*bandwidth_bytes_per_ms=*/0.0,
+                        /*sleep_scale=*/1.0});
+  auto queries = workload::LubmGenerator::BenchmarkQueries();
+  // Q2 and Q3: 5 + 2 patterns, 28 ASK probes at 4 endpoints.
+  const std::vector<std::pair<std::string, std::string>> pair = {
+      queries[1], queries[2]};
+
+  std::map<std::string, std::multiset<std::string>> reference;
+  {
+    core::LusailEngine engine(federation.get());
+    for (const auto& [label, query] : pair) {
+      auto result = engine.Execute(query, Deadline());
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+      reference[label] = RowSet(result->table);
+    }
+  }
+
+  cache::QueryServiceOptions options;
+  options.max_concurrent = 2;
+  options.engine.num_threads = 1;
+  cache::QueryService service(federation.get(), options);
+  std::vector<std::pair<std::string,
+                        std::future<Result<fed::FederatedResult>>>> futures;
+  for (const auto& [label, query] : pair) {
+    auto submitted = service.Submit(query);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.emplace_back(label, std::move(submitted).value());
+  }
+  for (auto& [label, future] : futures) {
+    Result<fed::FederatedResult> result = future.get();
+    ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+    EXPECT_EQ(RowSet(result->table), reference[label]) << label;
+    // Two or three rounds on the 16-thread request pool, plus slack for
+    // sanitizer builds; one thread would need a round per probe (8 for
+    // Q3's probes alone).
+    EXPECT_LT(result->profile.source_selection_ms, 5 * kRttMs) << label;
+  }
+  service.Drain();
+  EXPECT_EQ(service.Stats().completed, 2u);
+}
+
 TEST(QueryServiceTest, AdmissionCapRejectsExcessQueries) {
   // 50 ms of simulated latency per request keeps the first query in
   // flight long enough for the second Submit to hit the cap.
@@ -596,8 +649,7 @@ class HugeCountEndpoint : public net::Endpoint {
 TEST(CostModelCountTest, HugeCountSurvivesCollection) {
   fed::Federation federation;
   federation.Add(std::make_shared<HugeCountEndpoint>("9007199254740993"));
-  ThreadPool pool(2);
-  core::CostModel model(&federation, &pool);
+  core::CostModel model(&federation);
   auto query = sparql::ParseQuery("SELECT ?s WHERE { ?s ?p ?o . }");
   ASSERT_TRUE(query.ok());
   fed::MetricsCollector metrics;

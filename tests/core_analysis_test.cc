@@ -105,12 +105,12 @@ class GjvDetectorTest : public ::testing::Test {
   GjvResult Detect(const std::string& query_text, bool use_cache = true) {
     auto q = sparql::ParseQuery(query_text);
     EXPECT_TRUE(q.ok()) << q.status().ToString();
-    fed::SourceSelector selector(federation_.get(), &ask_cache_, &pool_);
+    fed::SourceSelector selector(federation_.get(), &ask_cache_);
     fed::MetricsCollector metrics;
     auto sources = selector.SelectSources(q->where.triples, &metrics,
                                           Deadline(), true);
     EXPECT_TRUE(sources.ok());
-    GjvDetector detector(federation_.get(), &check_cache_, &pool_);
+    GjvDetector detector(federation_.get(), &check_cache_);
     auto result = detector.Detect(q->where.triples, *sources, &metrics,
                                   Deadline(), use_cache);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -120,7 +120,6 @@ class GjvDetectorTest : public ::testing::Test {
   std::unique_ptr<fed::Federation> federation_;
   fed::AskCache ask_cache_;
   fed::AskCache check_cache_;
-  ThreadPool pool_{4};
 };
 
 TEST_F(GjvDetectorTest, SubjectObjectCaseDetectsInterlink) {
@@ -194,8 +193,7 @@ class DecomposerTest : public ::testing::Test {
     // Cost model with no statistics: all cardinalities are zero, which is
     // fine for structural assertions.
     fed::Federation empty_fed;
-    ThreadPool pool(2);
-    CostModel cost_model(&empty_fed, &pool);
+    CostModel cost_model(&empty_fed);
     Decomposer decomposer(&cost_model);
     return decomposer.Decompose(triples, sources, gjvs, {}, needed);
   }
@@ -291,8 +289,7 @@ TEST_F(DecomposerTest, FiltersPushedIntoCoveringSubquery) {
   sparql::Expr global = sparql::Expr::Binary(
       sparql::ExprOp::kNe, sparql::Expr::Var("a"), sparql::Expr::Var("c"));
   fed::Federation empty_fed;
-  ThreadPool pool(2);
-  CostModel cost_model(&empty_fed, &pool);
+  CostModel cost_model(&empty_fed);
   Decomposer decomposer(&cost_model);
   Decomposition d = decomposer.Decompose(triples, sources, gjvs,
                                          {local, global}, {"a", "c"});

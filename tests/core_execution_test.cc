@@ -1,6 +1,7 @@
 // Unit tests for the SAPE execution machinery: the cost model (Chauvenet
 // outlier rejection, delay thresholds, cardinality estimation), the DP
-// join-order optimizer, and the parallel hash join.
+// join-order optimizer, the parallel hash join, and request dispatch on
+// the federation's request pool.
 
 #include <cmath>
 
@@ -9,8 +10,10 @@
 #include "core/cost_model.h"
 #include "core/hash_join.h"
 #include "core/join_optimizer.h"
+#include "core/lusail_engine.h"
 #include "sparql/parser.h"
 #include "workload/federation_builder.h"
+#include "workload/lubm_generator.h"
 #include "workload/qfed_generator.h"
 
 namespace lusail::core {
@@ -102,7 +105,6 @@ class CostModelTest : public ::testing::Test {
 
   std::vector<workload::EndpointSpec> specs_;
   std::unique_ptr<fed::Federation> federation_;
-  ThreadPool pool_{4};
 };
 
 TEST_F(CostModelTest, CountsAreExact) {
@@ -110,7 +112,7 @@ TEST_F(CostModelTest, CountsAreExact) {
       "PREFIX db: <http://drugbank.example.org/vocab#>\n"
       "SELECT * WHERE { ?d db:name ?n . }");
   ASSERT_TRUE(q.ok());
-  CostModel model(federation_.get(), &pool_);
+  CostModel model(federation_.get());
   fed::MetricsCollector metrics;
   // drugbank is endpoint 0.
   ASSERT_TRUE(model
@@ -128,8 +130,8 @@ TEST_F(CostModelTest, FilterPushdownTightensCounts) {
       "PREFIX db: <http://drugbank.example.org/vocab#>\n"
       "SELECT * WHERE { ?d db:name ?n . FILTER (CONTAINS(?n, \"amide\")) }");
   ASSERT_TRUE(q.ok());
-  CostModel with_filter(federation_.get(), &pool_);
-  CostModel without(federation_.get(), &pool_);
+  CostModel with_filter(federation_.get());
+  CostModel without(federation_.get());
   fed::MetricsCollector metrics;
   ASSERT_TRUE(with_filter
                   .CollectStatistics(q->where.triples, {{0}},
@@ -151,7 +153,7 @@ TEST_F(CostModelTest, SubqueryCardinalityUsesMinOverJoin) {
       "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
       "SELECT * WHERE { ?d db:name ?n . ?d db:interactsWith ?x . }");
   ASSERT_TRUE(q.ok());
-  CostModel model(federation_.get(), &pool_);
+  CostModel model(federation_.get());
   fed::MetricsCollector metrics;
   ASSERT_TRUE(model
                   .CollectStatistics(q->where.triples, {{0}, {0}}, {},
@@ -275,6 +277,38 @@ TEST(ParallelHashJoinTest, StableColumnOrder) {
   EXPECT_EQ(joined.vars[0], "k");
   EXPECT_EQ(joined.vars[1], "l");
   EXPECT_EQ(joined.vars[2], "r");
+}
+
+// ---------------------------------------------------------------------
+// Request dispatch
+// ---------------------------------------------------------------------
+
+/// Endpoint requests run on the federation's request pool, not on the
+/// engine's CPU pool: with 8 endpoints one round trip away and a
+/// 2-thread engine, the 24 ASK probes of a 3-pattern query take 2 round
+/// trips (16 in flight, then 8), not the 12 a 2-thread pool would need.
+/// The round trip is long enough that sanitizer builds stay under 3.
+TEST(RequestDispatchTest, ConcurrencyFollowsTheFederationNotTheCpuPool) {
+  constexpr double kRttMs = 50.0;
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = 8;
+  workload::LubmGenerator generator(config);
+  auto federation = workload::BuildFederation(
+      generator.GenerateAll(),
+      net::LatencyModel{/*request_latency_ms=*/kRttMs,
+                        /*bandwidth_bytes_per_ms=*/0.0,
+                        /*sleep_scale=*/1.0});
+  ASSERT_EQ(federation->size(), 8u);
+  LusailOptions options;
+  options.num_threads = 2;
+  LusailEngine engine(federation.get(), options);
+  auto result = engine.Execute(
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT ?x ?n ?e ?d WHERE { ?x ub:name ?n . ?x ub:emailAddress ?e . "
+      "?x ub:memberOf ?d . }");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->table.rows.empty());
+  EXPECT_LT(result->profile.source_selection_ms, 3 * kRttMs);
 }
 
 }  // namespace

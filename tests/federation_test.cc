@@ -182,11 +182,10 @@ class SourceSelectionTest : public ::testing::Test {
 
   std::unique_ptr<Federation> federation_;
   AskCache cache_;
-  ThreadPool pool_{4};
 };
 
 TEST_F(SourceSelectionTest, FindsRelevantEndpoints) {
-  SourceSelector selector(federation_.get(), &cache_, &pool_);
+  SourceSelector selector(federation_.get(), &cache_);
   MetricsCollector metrics;
   auto sources = selector.SelectSources(
       {Pattern("http://p"), Pattern("http://q"), Pattern("http://nope")},
@@ -202,7 +201,7 @@ TEST_F(SourceSelectionTest, FindsRelevantEndpoints) {
 }
 
 TEST_F(SourceSelectionTest, CacheSuppressesRepeatProbes) {
-  SourceSelector selector(federation_.get(), &cache_, &pool_);
+  SourceSelector selector(federation_.get(), &cache_);
   MetricsCollector m1, m2;
   ASSERT_TRUE(selector
                   .SelectSources({Pattern("http://p")}, &m1, Deadline(), true)
@@ -228,7 +227,7 @@ TEST_F(SourceSelectionTest, CacheKeyErasesVariableNames) {
 }
 
 TEST_F(SourceSelectionTest, DeadlineExpiryYieldsTimeout) {
-  SourceSelector selector(federation_.get(), &cache_, &pool_);
+  SourceSelector selector(federation_.get(), &cache_);
   MetricsCollector metrics;
   Deadline expired = Deadline::AfterMillis(0);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));

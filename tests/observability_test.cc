@@ -326,6 +326,36 @@ TEST(TracedExecutionTest, LusailQueryProducesFullSpanTree) {
   EXPECT_EQ(recorded, result->profile.requests);
 }
 
+/// Every request Lusail dispatches to the federation's request pool
+/// carries its queue wait as "queued_ms"; on an idle pool (Q_a never has
+/// more requests in flight than the pool has threads) it is near zero.
+TEST(TracedExecutionTest, RequestSpansCarryDispatchQueueWait) {
+  auto federation = workload::BuildFederation(workload::Figure1Federation(),
+                                              net::LatencyModel::None());
+  core::LusailOptions options;
+  options.trace = true;
+  core::LusailEngine engine(federation.get(), options);
+  // The first query starts the pool's threads; the second finds them
+  // idle.
+  ASSERT_TRUE(engine.Execute(workload::Figure2QueryQa()).ok());
+  engine.ClearCaches();
+  auto result = engine.Execute(workload::Figure2QueryQa());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->profile.trace, nullptr);
+
+  auto requests = result->profile.trace->ByCategory("request");
+  ASSERT_FALSE(requests.empty());
+  for (const obs::Span* span : requests) {
+    auto queued = std::find_if(
+        span->annotations.begin(), span->annotations.end(),
+        [](const obs::SpanAnnotation& a) { return a.key == "queued_ms"; });
+    ASSERT_NE(queued, span->annotations.end()) << span->name;
+    double ms = std::stod(queued->value);
+    EXPECT_GE(ms, 0.0) << span->name;
+    EXPECT_LT(ms, 5.0) << span->name;
+  }
+}
+
 TEST(TracedExecutionTest, TracingDisabledAllocatesNothing) {
   auto federation = workload::BuildFederation(workload::Figure1Federation(),
                                               net::LatencyModel::None());

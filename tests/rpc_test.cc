@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -80,11 +82,10 @@ std::shared_ptr<net::SparqlEndpoint> TinyEndpoint(const std::string& id) {
                                                net::LatencyModel::None());
 }
 
-/// Sends `request` as raw bytes to 127.0.0.1:`port` and returns whatever
-/// the server writes back until it closes the connection.
-std::string RawExchange(uint16_t port, const std::string& request) {
+/// A socket connected to 127.0.0.1:`port`, or -1.
+int ConnectLoopback(uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -93,8 +94,16 @@ std::string RawExchange(uint16_t port, const std::string& request) {
   if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Sends `request` as raw bytes to 127.0.0.1:`port` and returns whatever
+/// the server writes back until it closes the connection.
+std::string RawExchange(uint16_t port, const std::string& request) {
+  int fd = ConnectLoopback(port);
+  if (fd < 0) return "";
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
@@ -788,6 +797,92 @@ TEST(HttpServerConcurrencyTest, MoreConnectionsThanWorkersMakeProgress) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
+  server.Stop();
+}
+
+/// Idle keep-alive connections must not delay a ready one: the server
+/// polls them for readability instead of parking a worker on each in
+/// turn, so a request on a 9th connection is served at once while 8
+/// quiet ones share the 2 workers. The 9th connection idles between its
+/// requests too, longer than a worker would wait on it before moving on.
+TEST(HttpServerConcurrencyTest, IdleKeepAliveConnectionsDoNotDelayReadyOnes) {
+  HttpServerOptions options;
+  options.num_threads = 2;
+  HttpServer server(TinyEndpoint("EP"), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  rpc::HttpRequest request;
+  request.method = "POST";
+  request.target = "/sparql";
+  request.SetHeader("Content-Type", "application/sparql-query");
+  request.body = "SELECT ?s WHERE { ?s <http://ex/p> ?o }";
+  auto exchange = [&request](rpc::HttpConnection* conn) {
+    ASSERT_TRUE(conn->Write(request, Deadline::AfterMillis(10000)).ok());
+    Result<rpc::HttpResponse> response =
+        conn->ReadResponse(rpc::HttpLimits(), Deadline::AfterMillis(10000));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
+  };
+
+  std::vector<rpc::HttpConnection> conns;
+  for (int i = 0; i < 9; ++i) {
+    int fd = ConnectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    conns.emplace_back(fd);
+  }
+  // Eight connections serve one request each, then sit idle.
+  for (int i = 0; i < 8; ++i) exchange(&conns[i]);
+
+  std::vector<double> latencies;
+  for (int q = 0; q < 5; ++q) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    Stopwatch timer;
+    exchange(&conns[8]);
+    latencies.push_back(timer.ElapsedMillis());
+  }
+  std::sort(latencies.begin(), latencies.end());
+  EXPECT_LT(latencies[2], 25.0) << "median of 5 requests, in ms";
+
+  for (rpc::HttpConnection& conn : conns) ::close(conn.fd());
+  server.Stop();
+}
+
+/// The poller closes a keep-alive connection once it has been idle for
+/// idle_timeout_ms: the client then reads EOF, not a response.
+TEST(HttpServerConcurrencyTest, IdleConnectionClosesAfterIdleTimeout) {
+  HttpServerOptions options;
+  options.num_threads = 2;
+  options.idle_timeout_ms = 50.0;
+  HttpServer server(TinyEndpoint("EP"), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  rpc::HttpConnection conn(fd);
+  rpc::HttpRequest request;
+  request.method = "GET";
+  request.target = "/health";
+  ASSERT_TRUE(conn.Write(request, Deadline::AfterMillis(10000)).ok());
+  Result<rpc::HttpResponse> response =
+      conn.ReadResponse(rpc::HttpLimits(), Deadline::AfterMillis(10000));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+
+  // No further request: the server must hang up within a few timeouts.
+  // The receive timeout keeps a server that never hangs up from hanging
+  // the test.
+  struct timeval recv_timeout = {5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+  Stopwatch idle;
+  char byte;
+  ssize_t n = -1;
+  do {
+    n = ::recv(fd, &byte, 1, 0);
+  } while (n < 0 && errno == EINTR);
+  EXPECT_EQ(n, 0) << "expected EOF from the server";
+  EXPECT_LT(idle.ElapsedMillis(), 2000.0);
+  ::close(fd);
   server.Stop();
 }
 
