@@ -1,6 +1,7 @@
 // Supporting micro-benchmarks for the substrates (not a paper figure):
 // triple-store lookups, dictionary interning, SPARQL parsing, endpoint
-// round-trips, the parallel hash join, and cancellation latency.
+// round-trips, the join kernel (serial and over a pool), and cancellation
+// latency.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +14,6 @@
 #include "common/cancel.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/hash_join.h"
 #include "federation/binding_table.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/parser.h"
@@ -127,7 +127,7 @@ void BM_ParallelHashJoin(benchmark::State& state) {
   }
   for (auto _ : state) {
     fed::BindingTable joined =
-        core::ParallelHashJoin(left, right, &pool, 8);
+        core::JoinIds(left, right, /*left_outer=*/false, &pool, 8);
     benchmark::DoNotOptimize(joined.NumRows());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -139,9 +139,12 @@ BENCHMARK(BM_ParallelHashJoin)->Arg(1000)->Arg(10000)->Arg(100000)
 // ID-space vs. string-space join. BM_StringHashJoin is the pre-ID-engine
 // execution model: wire-format rows of rdf::Term, keys hashed and
 // compared as strings. BM_IdHashJoin is the engine's current path: the
-// same data dictionary-encoded once, joined on fixed-width 64-bit ids
-// over columnar storage. CI runs the pair at 65536 rows and gates on the
-// id join being no slower (.github/workflows/ci.yml).
+// same data dictionary-encoded once, joined serially by core::JoinIds on
+// fixed-width 64-bit ids over columnar storage; its 1000, 10000 and
+// 100000 rows are the serial twins of BM_ParallelHashJoin's sizes. CI
+// runs the pair at 65536 rows and gates on the id join being no slower
+// and at most a quarter of the string join's time
+// (.github/workflows/ci.yml).
 // ---------------------------------------------------------------------
 
 void BM_StringHashJoin(benchmark::State& state) {
@@ -189,18 +192,20 @@ void BM_IdHashJoin(benchmark::State& state) {
     right.AppendRow({key, dict.Intern(rdf::Term::Integer(i * 3))});
   }
   for (auto _ : state) {
-    fed::BindingTable out = fed::HashJoin(left, right);
+    fed::BindingTable out = core::JoinIds(left, right, /*left_outer=*/false);
     benchmark::DoNotOptimize(out.NumRows());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_IdHashJoin)->Arg(65536)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IdHashJoin)
+    ->Arg(1000)->Arg(10000)->Arg(65536)->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
-/// Serial vs. parallel cartesian product around the dispatch threshold.
-/// The arg is the output size in cells (left rows × right rows, square
-/// sides); comparing BM_CartesianSerial/N with BM_CartesianParallel/N
-/// locates the crossover that ParallelHashJoin's 2048-cell threshold
-/// encodes (see the comment at the constant in core/hash_join.cc).
+/// Cartesian product without and with a pool. The arg is the side of two
+/// square inputs, so the output is arg² rows (the "cells" counter).
+/// Below core::kJoinParallelWork output rows BM_CartesianParallel runs
+/// serially too; the crossover table at that constant was measured with
+/// it forced to 0.
 fed::BindingTable CartesianSide(fed::SharedDictionary* dict, const char* var,
                                 int rows, int salt) {
   fed::BindingTable side;
@@ -217,7 +222,7 @@ void BM_CartesianSerial(benchmark::State& state) {
   fed::BindingTable left = CartesianSide(&dict, "a", side, 0);
   fed::BindingTable right = CartesianSide(&dict, "b", side, 1000000);
   for (auto _ : state) {
-    fed::BindingTable out = fed::HashJoin(left, right);
+    fed::BindingTable out = core::JoinIds(left, right, /*left_outer=*/false);
     benchmark::DoNotOptimize(out.NumRows());
   }
   state.counters["cells"] = static_cast<double>(side) * side;
@@ -233,7 +238,8 @@ void BM_CartesianParallel(benchmark::State& state) {
   fed::BindingTable left = CartesianSide(&dict, "a", side, 0);
   fed::BindingTable right = CartesianSide(&dict, "b", side, 1000000);
   for (auto _ : state) {
-    fed::BindingTable out = core::ParallelCartesian(left, right, &pool, 8);
+    fed::BindingTable out =
+        core::JoinIds(left, right, /*left_outer=*/false, &pool, 8);
     benchmark::DoNotOptimize(out.NumRows());
   }
   state.counters["cells"] = static_cast<double>(side) * side;
@@ -243,10 +249,10 @@ BENCHMARK(BM_CartesianParallel)
     ->Unit(benchmark::kMicrosecond);
 
 /// Cancellation latency: wall time from firing a CancelToken to a large
-/// in-flight ParallelCartesian unwinding. This prices the cooperative
-/// check granularity (one token probe per ~1024 cells plus the drain of
-/// already-queued partition tasks), not join throughput — manual timing
-/// starts at Cancel(), so join launch is excluded.
+/// in-flight cartesian JoinIds over a pool unwinding. This prices the
+/// cooperative check granularity (one token probe per ~1024 cells plus
+/// the drain of already-queued range tasks), not join throughput —
+/// manual timing starts at Cancel(), so join launch is excluded.
 void BM_CancellationLatency(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   fed::SharedDictionary dict;
@@ -258,8 +264,8 @@ void BM_CancellationLatency(benchmark::State& state) {
     std::atomic<bool> started{false};
     std::thread join_thread([&] {
       started.store(true, std::memory_order_release);
-      fed::BindingTable out =
-          core::ParallelCartesian(left, right, &pool, 8, &token);
+      fed::BindingTable out = core::JoinIds(
+          left, right, /*left_outer=*/false, &pool, 8, &token);
       benchmark::DoNotOptimize(out.NumRows());
     });
     while (!started.load(std::memory_order_acquire)) {

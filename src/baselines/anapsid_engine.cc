@@ -202,7 +202,8 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
           for (size_t a = 0; a < ready.size() && !merged; ++a) {
             for (size_t b = a + 1; b < ready.size() && !merged; ++b) {
               if (!BindingTable::SharedVars(ready[a], ready[b]).empty()) {
-                ready[a] = fed::HashJoin(ready[a], ready[b]);
+                ready[a] = core::JoinIds(ready[a], ready[b],
+                                         /*left_outer=*/false);
                 ready.erase(ready.begin() + b);
                 merged = true;
               }
@@ -226,7 +227,7 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
 
   // Cartesian-combine any disjoint leftovers.
   while (ready.size() > 1) {
-    ready[0] = fed::HashJoin(ready[0], ready[1]);
+    ready[0] = core::JoinIds(ready[0], ready[1], /*left_outer=*/false);
     ready.erase(ready.begin() + 1);
     track_peak();
   }

@@ -211,7 +211,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   }
   if (shared.empty()) {
     LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return fed::HashJoin(table, fetched);
+    return core::JoinIds(table, fetched, /*left_outer=*/false);
   }
 
   // Distinct binding tuples of the shared variables.
@@ -237,7 +237,7 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
   }
   if (distinct.empty()) {
     LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return fed::HashJoin(table, fetched);
+    return core::JoinIds(table, fetched, /*left_outer=*/false);
   }
 
   // Ship the bindings block by block to every relevant source,
@@ -278,11 +278,12 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     if (result_cap.has_value()) {
       // LIMIT shortcut: stop shipping blocks once enough joined results
       // exist (FedX's first-N termination; see the paper's C4 discussion).
-      BindingTable probe = fed::HashJoin(table, fetched);
+      BindingTable probe =
+          core::JoinIds(table, fetched, /*left_outer=*/false);
       if (probe.NumRows() >= *result_cap) return probe;
     }
   }
-  return fed::HashJoin(table, fetched);
+  return core::JoinIds(table, fetched, /*left_outer=*/false);
 }
 
 Result<BindingTable> FedXEngine::ExecutePattern(

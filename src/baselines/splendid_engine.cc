@@ -254,7 +254,8 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     profile->peak_intermediate_rows = std::max(
         profile->peak_intermediate_rows,
         static_cast<uint64_t>(table.NumRows() + fetched.NumRows()));
-    table = first ? std::move(fetched) : fed::HashJoin(table, fetched);
+    table = first ? std::move(fetched)
+                  : core::JoinIds(table, fetched, /*left_outer=*/false);
     profile->peak_intermediate_rows = std::max(
         profile->peak_intermediate_rows,
         static_cast<uint64_t>(table.NumRows()));

@@ -3,8 +3,6 @@
 #include <set>
 #include <string>
 
-#include "core/hash_join.h"
-
 namespace lusail::core {
 
 namespace {
@@ -68,8 +66,8 @@ Result<IdTable> CombineGroup(IdTable bgp, const GroupTail& tail,
                              TermDictionary* dict, ThreadPool* pool,
                              size_t partitions, const CancelToken* cancel) {
   IdTable rows = std::move(bgp);
-  auto inner_join = [&](const IdTable& right) -> Status {
-    rows = ParallelHashJoin(rows, right, pool, partitions, cancel);
+  auto join = [&](const IdTable& right, bool left_outer) -> Status {
+    rows = JoinIds(rows, right, left_outer, pool, partitions, cancel);
     if (cancel != nullptr && cancel->Cancelled()) {
       return cancel->StatusAt("group join");
     }
@@ -88,7 +86,7 @@ Result<IdTable> CombineGroup(IdTable bgp, const GroupTail& tail,
   };
 
   for (const sparql::ValuesClause* vc : tail.values) {
-    LUSAIL_RETURN_NOT_OK(inner_join(ValuesTable(*vc, dict)));
+    LUSAIL_RETURN_NOT_OK(join(ValuesTable(*vc, dict), /*left_outer=*/false));
   }
   for (const std::vector<sparql::GraphPattern>* chain : tail.unions) {
     if (rows.NumRows() == 0) return rows;
@@ -97,12 +95,12 @@ Result<IdTable> CombineGroup(IdTable bgp, const GroupTail& tail,
       LUSAIL_ASSIGN_OR_RETURN(IdTable branch, evaluate(alt));
       AppendUnionIds(&unioned, branch);
     }
-    LUSAIL_RETURN_NOT_OK(inner_join(unioned));
+    LUSAIL_RETURN_NOT_OK(join(unioned, /*left_outer=*/false));
   }
   for (const sparql::GraphPattern* opt : tail.optionals) {
     if (rows.NumRows() == 0) return rows;
     LUSAIL_ASSIGN_OR_RETURN(IdTable right, evaluate(*opt));
-    rows = JoinIds(rows, right, /*left_outer=*/true);
+    LUSAIL_RETURN_NOT_OK(join(right, /*left_outer=*/true));
   }
   for (const sparql::Expr* f : tail.filters) FilterIds(&rows, *f, *dict);
   for (const sparql::ExistsFilter* ef : tail.exists) {

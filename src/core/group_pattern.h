@@ -44,10 +44,11 @@ using NestedGroupEval =
 /// sparql::Evaluator evaluates a group: VALUES joins, UNION chains
 /// (joined with the union of their alternatives), OPTIONAL left joins,
 /// residual FILTERs, then FILTER [NOT] EXISTS as an (anti-)semi-join. A
-/// group with no triples passes UnitTable() as `bgp`. The inner joins
-/// are partitioned over `pool` when it is non-null
-/// (core::ParallelHashJoin), serial otherwise; `cancel`, when non-null,
-/// is checked after each of them.
+/// group with no triples passes UnitTable() as `bgp`. Every join (VALUES,
+/// UNION, OPTIONAL) runs core::JoinIds over `pool` and `partitions`, so
+/// it is range-partitioned when `pool` is non-null and the join is large;
+/// `cancel`, when non-null, is polled inside each join and checked after
+/// it.
 ///
 /// Nested groups are evaluated once, on their own, through `nested`, and
 /// then joined; the oracle instead evaluates them once per solution,

@@ -1,18 +1,21 @@
 #include "core/id_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <unordered_map>
+#include <future>
 #include <unordered_set>
 
+#include "common/cancel.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "sparql/expr_eval.h"
 
 namespace lusail::core {
 
 namespace {
 
-/// FNV-style hash of a join-key id vector.
+/// FNV-style hash of an id row (ProjectIds' DISTINCT set).
 struct IdRowHash {
   size_t operator()(const std::vector<rdf::TermId>& row) const {
     size_t h = 1469598103934665603ULL;
@@ -121,19 +124,6 @@ IdTable IdTable::Slice(size_t begin, size_t end) const {
   return FromColumns(vars, std::move(cols), end - begin);
 }
 
-void IdTable::Append(const IdTable& other) {
-  SyncColumns();
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    const std::vector<rdf::TermId>& src = other.Column(c);
-    if (src.empty()) {
-      cols_[c].resize(num_rows_ + other.num_rows_, rdf::kInvalidTermId);
-    } else {
-      cols_[c].insert(cols_[c].end(), src.begin(), src.end());
-    }
-  }
-  num_rows_ += other.num_rows_;
-}
-
 IdTable IdTable::FromColumns(std::vector<std::string> names,
                              std::vector<std::vector<rdf::TermId>> cols,
                              size_t num_rows) {
@@ -149,100 +139,217 @@ IdTable IdTable::FromColumns(std::vector<std::string> names,
 
 namespace {
 
-/// Pass 1 of the join kernels: appends the (left, right) row pairs
-/// compatible on the shared columns to `pairs`, in left-row order, and
-/// the left rows compatible with no right row to `unmatched` when it is
-/// non-null. With `first_only`, stops at each left row's first match.
-/// Only key columns are touched; payload columns are never read.
-void MatchRows(const IdTable& left, const IdTable& right,
-               const std::vector<int>& shared_left,
-               const std::vector<int>& shared_right, bool first_only,
-               std::vector<std::pair<uint32_t, uint32_t>>* pairs,
-               std::vector<uint32_t>* unmatched) {
-  const size_t ln = left.NumRows();
-  const size_t rn = right.NumRows();
-  auto compatible = [&](size_t l, size_t r) {
-    for (size_t i = 0; i < shared_left.size(); ++i) {
-      rdf::TermId a = left.At(l, shared_left[i]);
-      rdf::TermId b = right.At(r, shared_right[i]);
+/// Units of work (left rows probed, right rows examined, cells written)
+/// between two polls of a join's cancel token.
+constexpr size_t kPollEvery = 1024;
+
+/// Output cells allocated between two polls of a join's cancel token.
+constexpr size_t kFillStep = size_t{1} << 16;
+
+bool Fired(const CancelToken* cancel) {
+  return cancel != nullptr && cancel->Cancelled();
+}
+
+/// Counts units of work and polls the token once per kPollEvery of them.
+class Poller {
+ public:
+  explicit Poller(const CancelToken* cancel) : cancel_(cancel) {}
+
+  /// Adds `units`; true once the token has fired.
+  bool Tick(size_t units = 1) {
+    work_ += units;
+    if (work_ < kPollEvery) return false;
+    work_ = 0;
+    return Fired(cancel_);
+  }
+
+ private:
+  const CancelToken* cancel_;
+  size_t work_ = 0;
+};
+
+/// Range `i` of `n` contiguous, near-equal ranges of [0, rows).
+std::pair<size_t, size_t> RangeOf(size_t i, size_t n, size_t rows) {
+  return {rows * i / n, rows * (i + 1) / n};
+}
+
+/// Runs fn(0) .. fn(n - 1) and returns when all have: fn(0) on the
+/// calling thread and the rest on `pool`, or all inline without one.
+template <typename Fn>
+void RunTasks(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<std::future<void>> rest;
+  for (size_t i = 1; i < n; ++i) {
+    rest.push_back(pool->Submit([&fn, i] { fn(i); }));
+  }
+  if (n > 0) fn(0);
+  for (auto& f : rest) f.get();
+}
+
+/// Fills `col` with `n` unbound cells, kFillStep at a time, so a fired
+/// token is seen while a large output is allocated.
+void FillUnbound(size_t n, const CancelToken* cancel,
+                 std::vector<rdf::TermId>* col) {
+  col->reserve(n);
+  while (col->size() < n && !Fired(cancel)) {
+    col->resize(std::min(n, col->size() + kFillStep), rdf::kInvalidTermId);
+  }
+}
+
+/// A join side's key cells: one pointer per shared variable's column,
+/// nullptr for a column with no storage (all unbound).
+using KeyColumns = std::vector<const rdf::TermId*>;
+
+KeyColumns KeysOf(const IdTable& table, const std::vector<int>& idx) {
+  KeyColumns keys;
+  for (int c : idx) {
+    const std::vector<rdf::TermId>& col = table.Column(c);
+    keys.push_back(col.empty() ? nullptr : col.data());
+  }
+  return keys;
+}
+
+bool KeyBound(const KeyColumns& keys, size_t row) {
+  for (const rdf::TermId* col : keys) {
+    if (col == nullptr || col[row] == rdf::kInvalidTermId) return false;
+  }
+  return true;
+}
+
+uint64_t KeyHash(const KeyColumns& keys, size_t row) {
+  uint64_t h = 0;
+  for (const rdf::TermId* col : keys) {
+    h = (h ^ col[row]) * 0x9e3779b97f4a7c15ULL;
+  }
+  return h;
+}
+
+/// One range of left rows' matches: the compatible (left, right) row
+/// pairs in left-row order, and the left rows with none.
+struct Matches {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  std::vector<uint32_t> unmatched;
+};
+
+/// The match pass JoinIds and SemiJoinIds share. Construction indexes the
+/// right side: its rows with every key cell bound are counting-sorted by
+/// key hash into power-of-two buckets (one u32 per row and one per
+/// bucket, no per-key allocation), the rest go on a wildcard list, both in
+/// ascending row order. Match() reads the index only, so disjoint ranges
+/// of left rows can be probed concurrently.
+class Matcher {
+ public:
+  Matcher(const IdTable& left, const IdTable& right,
+          const std::vector<int>& shared_left,
+          const std::vector<int>& shared_right)
+      : left_keys_(KeysOf(left, shared_left)),
+        right_keys_(KeysOf(right, shared_right)),
+        right_rows_(right.NumRows()) {
+    const size_t buckets = std::bit_ceil(std::max<size_t>(2, right_rows_));
+    shift_ = 64 - std::countr_zero(buckets);
+    // Count each bucket's rows, turn the counts into bucket ends, then
+    // place the rows back to front, leaving start_[b] at bucket b's
+    // first row and each bucket in ascending row order.
+    start_.assign(buckets + 1, 0);
+    for (size_t r = 0; r < right_rows_; ++r) {
+      if (KeyBound(right_keys_, r)) {
+        ++start_[Bucket(right_keys_, r)];
+      } else {
+        wildcards_.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    uint32_t end = 0;
+    for (uint32_t& s : start_) s = end += s;
+    rows_.resize(end);
+    for (size_t r = right_rows_; r-- > 0;) {
+      if (KeyBound(right_keys_, r)) {
+        rows_[--start_[Bucket(right_keys_, r)]] = static_cast<uint32_t>(r);
+      }
+    }
+  }
+
+  /// Appends the matches of left rows [begin, end) to `out`. A row with
+  /// every key cell bound meets its bucket's equal keys, then the
+  /// compatible wildcards; a row with an unbound key cell scans every
+  /// right row. With `want_unmatched` the rows with no match are listed;
+  /// with `first_only` each row stops at its first match. Polls `cancel`
+  /// per kPollEvery rows probed and examined, and stops, with `out`
+  /// incomplete, once it has fired.
+  void Match(size_t begin, size_t end, bool first_only, bool want_unmatched,
+             const CancelToken* cancel, Matches* out) const {
+    Poller poll(cancel);
+    out->pairs.reserve(end - begin);
+    for (size_t l = begin; l < end; ++l) {
+      if (poll.Tick()) return;
+      bool matched = false;
+      bool fired = false;
+      // Examines right row r; false when row l is done or the token fired.
+      auto visit = [&](size_t r) {
+        if (poll.Tick()) {
+          fired = true;
+          return false;
+        }
+        if (Compatible(l, r)) {
+          out->pairs.emplace_back(static_cast<uint32_t>(l),
+                                  static_cast<uint32_t>(r));
+          matched = true;
+        }
+        return !(matched && first_only);
+      };
+      if (KeyBound(left_keys_, l)) {
+        const size_t b = Bucket(left_keys_, l);
+        bool more = true;
+        for (uint32_t i = start_[b]; more && i < start_[b + 1]; ++i) {
+          more = visit(rows_[i]);
+        }
+        for (size_t i = 0; more && i < wildcards_.size(); ++i) {
+          more = visit(wildcards_[i]);
+        }
+      } else {
+        for (size_t r = 0; r < right_rows_ && visit(r); ++r) {
+        }
+      }
+      if (fired) return;
+      if (want_unmatched && !matched) {
+        out->unmatched.push_back(static_cast<uint32_t>(l));
+      }
+    }
+  }
+
+ private:
+  size_t Bucket(const KeyColumns& keys, size_t row) const {
+    return KeyHash(keys, row) >> shift_;
+  }
+
+  bool Compatible(size_t l, size_t r) const {
+    for (size_t i = 0; i < left_keys_.size(); ++i) {
+      rdf::TermId a = left_keys_[i] ? left_keys_[i][l] : rdf::kInvalidTermId;
+      rdf::TermId b = right_keys_[i] ? right_keys_[i][r] : rdf::kInvalidTermId;
       if (a != rdf::kInvalidTermId && b != rdf::kInvalidTermId && a != b) {
         return false;
       }
     }
     return true;
-  };
-
-  if (ln != 0 && (rn != 0 || unmatched != nullptr)) {
-    std::unordered_map<std::vector<rdf::TermId>, std::vector<uint32_t>,
-                       IdRowHash>
-        hash_index;
-    std::vector<uint32_t> right_wildcards;
-    std::vector<rdf::TermId> key;
-    for (size_t r = 0; r < rn; ++r) {
-      key.clear();
-      bool keyed = true;
-      for (int idx : shared_right) {
-        rdf::TermId id = right.At(r, idx);
-        if (id == rdf::kInvalidTermId) {
-          keyed = false;
-          break;
-        }
-        key.push_back(id);
-      }
-      if (keyed) {
-        hash_index[key].push_back(static_cast<uint32_t>(r));
-      } else {
-        right_wildcards.push_back(static_cast<uint32_t>(r));
-      }
-    }
-    for (size_t l = 0; l < ln; ++l) {
-      bool matched = false;
-      key.clear();
-      bool keyed = true;
-      for (int idx : shared_left) {
-        rdf::TermId id = left.At(l, idx);
-        if (id == rdf::kInvalidTermId) {
-          keyed = false;
-          break;
-        }
-        key.push_back(id);
-      }
-      if (keyed) {
-        auto it = hash_index.find(key);
-        if (it != hash_index.end()) {
-          for (uint32_t r : it->second) {
-            pairs->emplace_back(static_cast<uint32_t>(l), r);
-            if (first_only) break;
-          }
-          matched = true;
-        }
-        for (uint32_t r : right_wildcards) {
-          if (matched && first_only) break;
-          if (compatible(l, r)) {
-            pairs->emplace_back(static_cast<uint32_t>(l), r);
-            matched = true;
-          }
-        }
-      } else {
-        // Left row has an unbound shared var: scan everything.
-        for (size_t r = 0; r < rn && !(matched && first_only); ++r) {
-          if (compatible(l, r)) {
-            pairs->emplace_back(static_cast<uint32_t>(l),
-                                static_cast<uint32_t>(r));
-            matched = true;
-          }
-        }
-      }
-      if (unmatched != nullptr && !matched) {
-        unmatched->push_back(static_cast<uint32_t>(l));
-      }
-    }
   }
-}
+
+  KeyColumns left_keys_;
+  KeyColumns right_keys_;
+  size_t right_rows_;
+  int shift_;
+  // Bucket b holds rows_[start_[b], start_[b + 1]).
+  std::vector<uint32_t> start_;
+  std::vector<uint32_t> rows_;
+  std::vector<uint32_t> wildcards_;
+};
 
 }  // namespace
 
-IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
+IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer,
+                ThreadPool* pool, size_t partitions,
+                const CancelToken* cancel) {
   std::vector<std::string> shared = IdTable::SharedVars(left, right);
   std::vector<int> shared_left, shared_right, right_only;
   std::vector<std::string> out_vars = left.vars;
@@ -264,44 +371,103 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
     backfill[shared_left[i]] = shared_right[i];
   }
 
-  // Pass 1: find the (left, right) match pairs and the unmatched left
-  // rows. The non-key payload columns are never read until the gather
-  // pass below.
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  std::vector<uint32_t> unmatched;
-  MatchRows(left, right, shared_left, shared_right, /*first_only=*/false,
-            &pairs, left_outer ? &unmatched : nullptr);
+  const size_t ln = left.NumRows();
+  const size_t rn = right.NumRows();
+  if (ln == 0 || (rn == 0 && !left_outer) || Fired(cancel)) {
+    return IdTable(std::move(out_vars));
+  }
+  // With no shared variable every left row meets every right row, in
+  // order: the product is written by repeat and tile, with no match pass,
+  // and its work measure is its output rows.
+  const bool cross = shared.empty() && rn > 0;
+  const size_t work = cross ? ln * rn : ln;
+  const size_t ranges = (pool == nullptr || partitions <= 1 ||
+                         work < kJoinParallelWork)
+                            ? 1
+                            : std::min(partitions, ln);
 
-  // Pass 2: materialize with one gather per output column. Matched rows
-  // first, then (for OPTIONAL) the unmatched lefts padded unbound.
-  const size_t total = pairs.size() + unmatched.size();
+  // Pass 1: each range's match pairs and unmatched left rows. Only key
+  // columns are read.
+  std::vector<Matches> parts(ranges);
+  if (!cross) {
+    Matcher matcher(left, right, shared_left, shared_right);
+    RunTasks(pool, ranges, [&](size_t i) {
+      auto [begin, end] = RangeOf(i, ranges, ln);
+      Matches local;  // Not parts[i]: neighbouring parts share cache lines.
+      matcher.Match(begin, end, /*first_only=*/false, left_outer, cancel,
+                    &local);
+      parts[i] = std::move(local);
+    });
+    if (Fired(cancel)) return IdTable(std::move(out_vars));
+  }
+
+  // Output row offsets: every range's matched rows in range order, then
+  // (for OPTIONAL) every range's unmatched lefts padded unbound — the
+  // serial order, whatever the number of ranges.
+  std::vector<size_t> matched_at(ranges + 1, 0);
+  std::vector<size_t> unmatched_at(ranges + 1, 0);
+  for (size_t i = 0; i < ranges; ++i) {
+    auto [begin, end] = RangeOf(i, ranges, ln);
+    matched_at[i + 1] =
+        matched_at[i] + (cross ? (end - begin) * rn : parts[i].pairs.size());
+  }
+  unmatched_at[0] = matched_at[ranges];
+  for (size_t i = 0; i < ranges; ++i) {
+    unmatched_at[i + 1] = unmatched_at[i] + parts[i].unmatched.size();
+  }
+  const size_t total = unmatched_at[ranges];
+  // First-touching a large output is much of its cost, so a split join
+  // allocates each column on its own task.
   std::vector<std::vector<rdf::TermId>> cols(out_vars.size());
-  for (size_t c = 0; c < left.NumVars(); ++c) {
-    std::vector<rdf::TermId>& dst = cols[c];
-    dst.resize(total);
-    const std::vector<rdf::TermId>& lc = left.Column(c);
-    const int br = backfill[c];
-    const std::vector<rdf::TermId>& rc =
-        br >= 0 ? right.Column(br) : EmptyColumn();
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      rdf::TermId v =
-          lc.empty() ? rdf::kInvalidTermId : lc[pairs[k].first];
-      if (v == rdf::kInvalidTermId && !rc.empty()) v = rc[pairs[k].second];
-      dst[k] = v;
+  RunTasks(ranges > 1 ? pool : nullptr, cols.size(),
+           [&](size_t c) { FillUnbound(total, cancel, &cols[c]); });
+  if (Fired(cancel)) return IdTable(std::move(out_vars));
+
+  // Pass 2: each range writes its own rows of every output column.
+  RunTasks(pool, ranges, [&](size_t i) {
+    auto [begin, end] = RangeOf(i, ranges, ln);
+    const Matches& m = parts[i];
+    Poller poll(cancel);
+    for (size_t c = 0; c < left.NumVars(); ++c) {
+      const std::vector<rdf::TermId>& lc = left.Column(c);
+      const std::vector<rdf::TermId>& rc =
+          backfill[c] >= 0 ? right.Column(backfill[c]) : EmptyColumn();
+      if (lc.empty() && rc.empty()) continue;  // Unbound, as filled.
+      rdf::TermId* dst = cols[c].data() + matched_at[i];
+      if (cross) {
+        for (size_t l = begin; l < end; ++l, dst += rn) {
+          if (poll.Tick(rn)) return;
+          std::fill_n(dst, rn, lc[l]);
+        }
+        continue;
+      }
+      for (const auto& [l, r] : m.pairs) {
+        if (poll.Tick()) return;
+        rdf::TermId v = lc.empty() ? rdf::kInvalidTermId : lc[l];
+        *dst++ = v == rdf::kInvalidTermId && !rc.empty() ? rc[r] : v;
+      }
+      if (lc.empty()) continue;
+      dst = cols[c].data() + unmatched_at[i];
+      for (uint32_t l : m.unmatched) *dst++ = lc[l];
     }
-    for (size_t k = 0; k < unmatched.size(); ++k) {
-      dst[pairs.size() + k] =
-          lc.empty() ? rdf::kInvalidTermId : lc[unmatched[k]];
+    for (size_t j = 0; j < right_only.size(); ++j) {
+      const std::vector<rdf::TermId>& rc = right.Column(right_only[j]);
+      if (rc.empty()) continue;
+      rdf::TermId* dst = cols[left.NumVars() + j].data() + matched_at[i];
+      if (cross) {
+        for (size_t l = begin; l < end; ++l, dst += rn) {
+          if (poll.Tick(rn)) return;
+          std::copy(rc.begin(), rc.end(), dst);
+        }
+        continue;
+      }
+      for (const auto& pair : m.pairs) {
+        if (poll.Tick()) return;
+        *dst++ = rc[pair.second];
+      }
     }
-  }
-  for (size_t m = 0; m < right_only.size(); ++m) {
-    std::vector<rdf::TermId>& dst = cols[left.NumVars() + m];
-    dst.resize(total, rdf::kInvalidTermId);
-    const std::vector<rdf::TermId>& rc = right.Column(right_only[m]);
-    if (!rc.empty()) {
-      for (size_t k = 0; k < pairs.size(); ++k) dst[k] = rc[pairs[k].second];
-    }
-  }
+  });
+  if (Fired(cancel)) return IdTable(std::move(out_vars));
   return IdTable::FromColumns(std::move(out_vars), std::move(cols), total);
 }
 
@@ -312,14 +478,14 @@ IdTable SemiJoinIds(const IdTable& left, const IdTable& right,
     shared_left.push_back(left.VarIndex(v));
     shared_right.push_back(right.VarIndex(v));
   }
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  std::vector<uint32_t> unmatched;
-  MatchRows(left, right, shared_left, shared_right, /*first_only=*/true,
-            &pairs, &unmatched);
-  if (negated) return left.SelectRows(unmatched);
+  Matches m;
+  Matcher(left, right, shared_left, shared_right)
+      .Match(0, left.NumRows(), /*first_only=*/true, /*want_unmatched=*/true,
+             /*cancel=*/nullptr, &m);
+  if (negated) return left.SelectRows(m.unmatched);
   std::vector<uint32_t> kept;
-  kept.reserve(pairs.size());
-  for (const auto& pair : pairs) kept.push_back(pair.first);
+  kept.reserve(m.pairs.size());
+  for (const auto& pair : m.pairs) kept.push_back(pair.first);
   return left.SelectRows(kept);
 }
 

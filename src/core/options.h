@@ -61,7 +61,10 @@ struct LusailOptions {
   /// (re-running source selection with found bindings, Algorithm 3 l.13).
   size_t source_refinement_sample = 10;
 
-  /// Partitions for the parallel hash join.
+  /// Maximum probe ranges per join: a join with enough work
+  /// (core::kJoinParallelWork) splits its left rows into at most this
+  /// many ranges on the engine pool. The DP join-order cost model reads
+  /// it too.
   size_t join_partitions = 8;
 
   /// Client-side retry policy for every endpoint request this engine

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "cache/federation_cache.h"
-#include "core/hash_join.h"
 #include "core/join_optimizer.h"
 
 namespace lusail::core {
@@ -119,7 +118,7 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
       continue;
     }
     // DP join order over the group's true cardinalities, then a
-    // left-deep chain of parallel partitioned hash joins.
+    // left-deep chain of hash joins, range-partitioned over the pool.
     std::vector<double> sizes;
     std::vector<std::set<std::string>> vars;
     for (size_t i : members) {
@@ -132,8 +131,8 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
     BindingTable joined = std::move(tables[members[order[0]]]);
     for (size_t k = 1; k < order.size(); ++k) {
       if (cancel != nullptr && cancel->Cancelled()) break;
-      joined = ParallelHashJoin(joined, tables[members[order[k]]], pool,
-                                partitions, cancel);
+      joined = JoinIds(joined, tables[members[order[k]]],
+                       /*left_outer=*/false, pool, partitions, cancel);
     }
     out.push_back(std::move(joined));
   }
@@ -649,15 +648,15 @@ Result<BindingTable> SapeExecutor::Execute(
                          &cancel);
   while (tables.size() > 1) {
     if (cancel.Cancelled()) return cancel.StatusAt("global join");
-    // Cartesian products, smallest first to bound growth; the parallel
-    // join partitions the product across the pool when it is large.
+    // Cartesian products, smallest first to bound growth; the join
+    // splits the product across the pool when it is large.
     std::sort(tables.begin(), tables.end(),
               [](const BindingTable& a, const BindingTable& b) {
                 return a.NumRows() < b.NumRows();
               });
     BindingTable joined =
-        ParallelHashJoin(tables[0], tables[1], pool_,
-                         options_->join_partitions, &cancel);
+        JoinIds(tables[0], tables[1], /*left_outer=*/false, pool_,
+                options_->join_partitions, &cancel);
     tables.erase(tables.begin(), tables.begin() + 2);
     tables.insert(tables.begin(), std::move(joined));
   }

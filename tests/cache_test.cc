@@ -23,7 +23,6 @@
 #include "cache/federation_cache.h"
 #include "cache/query_service.h"
 #include "core/cost_model.h"
-#include "core/hash_join.h"
 #include "core/lusail_engine.h"
 #include "core/sape.h"
 #include "net/sparql_endpoint.h"
@@ -824,8 +823,9 @@ TEST(ParallelCartesianTest, MatchesSingleThreadedProduct) {
     right.AppendRow({dict.Intern(rdf::Term::Iri("urn:r" + std::to_string(i)))});
   }
   ThreadPool pool(4);
-  fed::BindingTable parallel = core::ParallelHashJoin(left, right, &pool, 4);
-  fed::BindingTable serial = fed::HashJoin(left, right);
+  fed::BindingTable parallel =
+      core::JoinIds(left, right, /*left_outer=*/false, &pool, 4);
+  fed::BindingTable serial = core::JoinIds(left, right, /*left_outer=*/false);
   ASSERT_EQ(parallel.NumRows(), 80u * 60u);
   ASSERT_EQ(serial.NumRows(), parallel.NumRows());
 
@@ -849,7 +849,8 @@ TEST(ParallelCartesianTest, EmptySideYieldsEmptyProduct) {
     left.AppendRow({static_cast<rdf::TermId>(i + 1)});
   }
   ThreadPool pool(4);
-  fed::BindingTable product = core::ParallelHashJoin(left, right, &pool, 4);
+  fed::BindingTable product =
+      core::JoinIds(left, right, /*left_outer=*/false, &pool, 4);
   EXPECT_EQ(product.NumRows(), 0u);
   EXPECT_EQ(product.vars.size(), 2u);
 }

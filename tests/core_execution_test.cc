@@ -1,14 +1,16 @@
 // Unit tests for the SAPE execution machinery: the cost model (Chauvenet
 // outlier rejection, delay thresholds, cardinality estimation), the DP
-// join-order optimizer, the parallel hash join, and request dispatch on
-// the federation's request pool.
+// join-order optimizer, the join kernel with and without a pool, and
+// request dispatch on the federation's request pool.
 
+#include <chrono>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/cost_model.h"
-#include "core/hash_join.h"
+#include "core/group_pattern.h"
+#include "core/id_table.h"
 #include "core/join_optimizer.h"
 #include "core/lusail_engine.h"
 #include "sparql/parser.h"
@@ -220,7 +222,7 @@ TEST(JoinOptimizerTest, GreedyFallbackBeyondDpLimit) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel hash join
+// The join kernel: core::JoinIds with and without a pool
 // ---------------------------------------------------------------------
 
 fed::BindingTable BigTable(fed::SharedDictionary* dict, const std::string& var,
@@ -235,13 +237,102 @@ fed::BindingTable BigTable(fed::SharedDictionary* dict, const std::string& var,
   return t;
 }
 
+/// Every row of `t`, in order.
+std::vector<std::vector<rdf::TermId>> RowsInOrder(const fed::BindingTable& t) {
+  std::vector<std::vector<rdf::TermId>> rows;
+  for (size_t r = 0; r < t.NumRows(); ++r) rows.push_back(t.Row(r));
+  return rows;
+}
+
+/// One input shape of the partitioning table.
+struct JoinShape {
+  std::string name;
+  fed::BindingTable left;
+  fed::BindingTable right;
+  bool left_outer = false;
+};
+
+/// A table over `vars` whose cell (row i, column c) is cell(i, c); 0 in
+/// a cell means unbound. Ids are raw: the join never decodes them.
+template <typename Cell>
+fed::BindingTable Generated(std::vector<std::string> vars, int rows,
+                            Cell cell) {
+  fed::BindingTable t(std::move(vars));
+  for (int i = 0; i < rows; ++i) {
+    std::vector<rdf::TermId> row;
+    for (size_t c = 0; c < t.NumVars(); ++c) {
+      rdf::TermId id = cell(i, static_cast<int>(c));
+      row.push_back(id == 0 ? rdf::kInvalidTermId : id);
+    }
+    t.AppendRow(row);
+  }
+  return t;
+}
+
+/// The shapes, each with at least twice kJoinParallelWork of work so a
+/// pool run really splits it into ranges.
+std::vector<JoinShape> JoinShapes() {
+  const int n = static_cast<int>(2 * kJoinParallelWork);
+  auto payload = [](int i, int c) { return rdf::TermId(1000000 * c + i + 1); };
+  std::vector<JoinShape> shapes;
+  // Single key, two right rows per key over half the left keys.
+  auto one_key_left = Generated({"k", "l"}, n, [&](int i, int c) {
+    return c == 0 ? rdf::TermId(i + 1) : payload(i, 1);
+  });
+  auto one_key_right = Generated({"k", "r"}, n, [&](int i, int c) {
+    return c == 0 ? rdf::TermId(i / 2 + n / 4 + 1) : payload(i, 2);
+  });
+  shapes.push_back({"single key", one_key_left, one_key_right});
+  shapes.push_back({"left outer", one_key_left, one_key_right, true});
+  shapes.push_back({"two keys",
+                    Generated({"k", "j", "l"}, n,
+                              [&](int i, int c) {
+                                if (c == 0) return rdf::TermId(i % 4096 + 1);
+                                if (c == 1) return rdf::TermId(i % 3 + 1);
+                                return payload(i, 1);
+                              }),
+                    Generated({"j", "k", "r"}, n / 4, [&](int i, int c) {
+                      if (c == 0) return rdf::TermId(i % 2 + 1);
+                      if (c == 1) return rdf::TermId(i % 4096 + 1);
+                      return payload(i, 2);
+                    })});
+  // Unbound key cells: one left row in 1000 (each scans the right side)
+  // and right rows 0, 1000, 2000 (wildcards every keyed left row meets).
+  auto holey_left = Generated({"k", "l"}, n, [&](int i, int c) {
+    return c == 0 ? rdf::TermId(i % 1000 == 7 ? 0 : i + 1) : payload(i, 1);
+  });
+  auto small_right = Generated({"k", "r"}, 300, [&](int i, int c) {
+    return c == 0 ? rdf::TermId(37 * i + 1) : payload(i, 2);
+  });
+  auto holey_right = Generated({"k", "r"}, 3000, [&](int i, int c) {
+    return c == 0 ? rdf::TermId(i % 1000 == 0 ? 0 : 11 * i + 1)
+                  : payload(i, 2);
+  });
+  shapes.push_back({"unbound left keys", holey_left, small_right});
+  shapes.push_back({"unbound right keys", one_key_left, holey_right});
+  shapes.push_back({"unbound keys on both sides", holey_left, holey_right});
+  shapes.push_back({"unbound keys, left outer", holey_left, small_right,
+                    true});
+  shapes.push_back({"no shared variables",
+                    Generated({"a"}, 64, payload),
+                    Generated({"b"}, n / 64 + 1, payload)});
+  shapes.push_back({"empty right side", one_key_left,
+                    fed::BindingTable({"k", "r"})});
+  shapes.push_back({"empty right side, left outer", one_key_left,
+                    fed::BindingTable({"k", "r"}), true});
+  shapes.push_back({"empty left side", fed::BindingTable({"k", "l"}),
+                    one_key_right});
+  return shapes;
+}
+
 TEST(ParallelHashJoinTest, MatchesSequentialJoin) {
   fed::SharedDictionary dict;
   ThreadPool pool(4);
   fed::BindingTable left = BigTable(&dict, "k", "l", 3000, 0);
   fed::BindingTable right = BigTable(&dict, "k", "r", 3000, 1500);
-  fed::BindingTable parallel = ParallelHashJoin(left, right, &pool, 8);
-  fed::BindingTable sequential = fed::HashJoin(left, right);
+  fed::BindingTable parallel =
+      JoinIds(left, right, /*left_outer=*/false, &pool, 8);
+  fed::BindingTable sequential = JoinIds(left, right, /*left_outer=*/false);
   EXPECT_EQ(parallel.NumRows(), sequential.NumRows());
   EXPECT_EQ(parallel.NumRows(), 1500u);  // Overlap of the key ranges.
   // Same row multiset regardless of partitioning.
@@ -256,6 +347,17 @@ TEST(ParallelHashJoinTest, MatchesSequentialJoin) {
     return keys;
   };
   EXPECT_EQ(key_of(parallel), key_of(sequential));
+
+  // Exactly the serial rows, in the serial order, for every shape.
+  for (const JoinShape& shape : JoinShapes()) {
+    SCOPED_TRACE(shape.name);
+    fed::BindingTable serial =
+        JoinIds(shape.left, shape.right, shape.left_outer);
+    fed::BindingTable ranged =
+        JoinIds(shape.left, shape.right, shape.left_outer, &pool, 8);
+    EXPECT_EQ(ranged.vars, serial.vars);
+    EXPECT_EQ(RowsInOrder(ranged), RowsInOrder(serial));
+  }
 }
 
 TEST(ParallelHashJoinTest, SmallInputsFallBack) {
@@ -263,7 +365,8 @@ TEST(ParallelHashJoinTest, SmallInputsFallBack) {
   ThreadPool pool(2);
   fed::BindingTable left = BigTable(&dict, "k", "l", 10, 0);
   fed::BindingTable right = BigTable(&dict, "k", "r", 10, 5);
-  fed::BindingTable joined = ParallelHashJoin(left, right, &pool, 8);
+  fed::BindingTable joined =
+      JoinIds(left, right, /*left_outer=*/false, &pool, 8);
   EXPECT_EQ(joined.NumRows(), 5u);
 }
 
@@ -272,11 +375,76 @@ TEST(ParallelHashJoinTest, StableColumnOrder) {
   ThreadPool pool(4);
   fed::BindingTable left = BigTable(&dict, "k", "l", 3000, 0);
   fed::BindingTable right = BigTable(&dict, "k", "r", 3000, 0);
-  fed::BindingTable joined = ParallelHashJoin(left, right, &pool, 8);
+  fed::BindingTable joined =
+      JoinIds(left, right, /*left_outer=*/false, &pool, 8);
   ASSERT_EQ(joined.vars.size(), 3u);
   EXPECT_EQ(joined.vars[0], "k");
   EXPECT_EQ(joined.vars[1], "l");
   EXPECT_EQ(joined.vars[2], "r");
+}
+
+/// 4000 x 4000 rows whose left key column ?k is unbound, so every left
+/// row scans all 4000 right rows (16M compatibility checks); ?j, bound
+/// and never equal, keeps the output empty.
+std::pair<fed::BindingTable, fed::BindingTable> UnboundKeyJoin() {
+  auto left = Generated({"k", "j", "l"}, 4000, [](int i, int c) {
+    return c == 0 ? rdf::TermId(0) : rdf::TermId(i + 1);
+  });
+  auto right = Generated({"k", "j", "r"}, 4000, [](int i, int c) {
+    return c == 1 ? rdf::TermId(i + 100001) : rdf::TermId(i + 1);
+  });
+  return {std::move(left), std::move(right)};
+}
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(JoinKernelTest, FiredTokenStopsUnboundKeyJoin) {
+  auto [left, right] = UnboundKeyJoin();
+  ThreadPool pool(4);
+  CancelToken token = CancelToken::Cancellable();
+  token.Cancel();
+  for (bool left_outer : {false, true}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto start = std::chrono::steady_clock::now();
+      JoinIds(left, right, left_outer, p, 8, &token);
+      EXPECT_LT(MillisSince(start), 20.0)
+          << "left_outer=" << left_outer << " pool=" << (p != nullptr);
+    }
+  }
+  // The join cannot fail; its caller's own check turns the fired token
+  // into the status.
+  Status status = token.StatusAt("group join");
+  EXPECT_EQ(status.code(), StatusCode::kTimeout);
+}
+
+/// The OPTIONAL left join of the group combiner passes the token on and
+/// checks it after the join, as the VALUES and UNION joins do.
+TEST(JoinKernelTest, CombineGroupOptionalJoinTripsOnFiredToken) {
+  auto [left, right_table] = UnboundKeyJoin();
+  const fed::BindingTable& right = right_table;
+  sparql::GraphPattern optional_body;
+  GroupTail tail;
+  tail.optionals.push_back(&optional_body);
+  NestedGroupEval nested =
+      [&right](const sparql::GraphPattern&) -> Result<IdTable> {
+    return right;
+  };
+  TermDictionary dict;
+  ThreadPool pool(4);
+  CancelToken token = CancelToken::Cancellable();
+  token.Cancel();
+  auto start = std::chrono::steady_clock::now();
+  Result<IdTable> out =
+      CombineGroup(left, tail, nested, &dict, &pool, 8, &token);
+  EXPECT_LT(MillisSince(start), 20.0);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kTimeout);
+  EXPECT_NE(out.status().message().find("group join"), std::string::npos)
+      << out.status().ToString();
 }
 
 // ---------------------------------------------------------------------

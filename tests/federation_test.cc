@@ -50,7 +50,7 @@ class BindingTableTest : public ::testing::Test {
 TEST_F(BindingTableTest, HashJoinOnSharedVar) {
   BindingTable left = Make({"x", "y"}, {{"a", "b"}, {"c", "d"}});
   BindingTable right = Make({"y", "z"}, {{"b", "e"}, {"b", "f"}, {"q", "g"}});
-  BindingTable joined = HashJoin(left, right);
+  BindingTable joined = core::JoinIds(left, right, /*left_outer=*/false);
   EXPECT_EQ(joined.NumRows(), 2u);  // (a,b,e), (a,b,f).
   EXPECT_EQ(joined.vars.size(), 3u);
 }
@@ -58,13 +58,13 @@ TEST_F(BindingTableTest, HashJoinOnSharedVar) {
 TEST_F(BindingTableTest, HashJoinNoSharedVarsIsCartesian) {
   BindingTable left = Make({"x"}, {{"a"}, {"b"}});
   BindingTable right = Make({"y"}, {{"c"}, {"d"}, {"e"}});
-  EXPECT_EQ(HashJoin(left, right).NumRows(), 6u);
+  EXPECT_EQ(core::JoinIds(left, right, /*left_outer=*/false).NumRows(), 6u);
 }
 
 TEST_F(BindingTableTest, HashJoinUnboundIsCompatible) {
   BindingTable left = Make({"x", "y"}, {{"a", ""}});
   BindingTable right = Make({"y", "z"}, {{"b", "c"}});
-  BindingTable joined = HashJoin(left, right);
+  BindingTable joined = core::JoinIds(left, right, /*left_outer=*/false);
   ASSERT_EQ(joined.NumRows(), 1u);
   // The unbound ?y picks up the right-side value.
   int y = joined.VarIndex("y");
