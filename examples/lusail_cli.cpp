@@ -343,12 +343,14 @@ net::LatencyModel MakeLatency(const std::string& name) {
 
 void PrintProfile(const fed::ExecutionProfile& profile) {
   std::fprintf(stderr,
-               "# requests=%llu (ask=%llu)  sent=%llu B  received=%llu B\n"
+               "# requests=%llu (ask=%llu) in %llu round trips  sent=%llu B  "
+               "received=%llu B\n"
                "# phases: source-selection %.1f ms, analysis %.1f ms, "
                "execution %.1f ms, total %.1f ms\n"
                "# simulated network time: %.1f ms; pushed optionals: %llu\n",
                static_cast<unsigned long long>(profile.requests),
                static_cast<unsigned long long>(profile.ask_requests),
+               static_cast<unsigned long long>(profile.round_trips),
                static_cast<unsigned long long>(profile.bytes_sent),
                static_cast<unsigned long long>(profile.bytes_received),
                profile.source_selection_ms, profile.analysis_ms,

@@ -80,22 +80,35 @@ std::string CostModel::CountQueryText(
   return text;
 }
 
+CostModel::PendingProbes::~PendingProbes() {
+  for (Probe& probe : probes) {
+    if (probe.result.valid()) probe.result.wait();
+  }
+}
+
 Status CostModel::CollectStatistics(
     const std::vector<sparql::TriplePattern>& triples,
     const std::vector<std::vector<int>>& sources,
     const std::vector<sparql::Expr>& filters,
     fed::MetricsCollector* metrics, const Deadline& deadline,
     const net::RetryPolicy* retry, bool tolerate_failures, bool use_cache) {
-  struct Probe {
-    int tp;
-    int ep;
-    std::string cache_key;
-    std::string endpoint_id;
-    std::future<Result<sparql::ResultTable>> result;
-  };
+  return CollectProbes(SubmitProbes(triples, sources, filters, metrics,
+                                    deadline, retry, use_cache),
+                       tolerate_failures);
+}
+
+CostModel::PendingProbes CostModel::SubmitProbes(
+    const std::vector<sparql::TriplePattern>& triples,
+    const std::vector<std::vector<int>>& sources,
+    const std::vector<sparql::Expr>& filters,
+    fed::MetricsCollector* metrics, const Deadline& deadline,
+    const net::RetryPolicy* retry, bool use_cache) {
+  PendingProbes pending;
+  pending.use_cache = use_cache;
   cache::FederationCache* shared =
       use_cache ? federation_->query_cache() : nullptr;
-  std::vector<Probe> probes;
+  obs::SpanId trace_parent =
+      metrics != nullptr ? metrics->trace_parent() : 0;
   for (size_t ti = 0; ti < triples.size(); ++ti) {
     // Push filters whose variables all appear in this single pattern.
     std::vector<const sparql::Expr*> pushed;
@@ -123,23 +136,30 @@ Status CostModel::CollectStatistics(
           continue;
         }
       }
-      Probe probe;
+      PendingProbes::Probe probe;
       probe.tp = static_cast<int>(ti);
       probe.ep = ep;
       probe.cache_key = std::move(key);
       probe.endpoint_id = std::move(endpoint_id);
-      probe.result = federation_->SubmitRequest([this, ep, text, metrics,
-                                                 deadline, retry]() {
-        return federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                    deadline, retry);
-      });
-      probes.push_back(std::move(probe));
+      probe.result = federation_->SubmitRequest(
+          [this, ep, text, metrics, deadline, retry, trace_parent]() {
+            return federation_->Execute(static_cast<size_t>(ep), text,
+                                        metrics, deadline, retry,
+                                        trace_parent);
+          });
+      pending.probes.push_back(std::move(probe));
     }
   }
+  return pending;
+}
 
+Status CostModel::CollectProbes(PendingProbes pending,
+                                bool tolerate_failures) {
+  cache::FederationCache* shared =
+      pending.use_cache ? federation_->query_cache() : nullptr;
   size_t failed = 0;
   Status first_error;
-  for (Probe& probe : probes) {
+  for (PendingProbes::Probe& probe : pending.probes) {
     Result<sparql::ResultTable> table = probe.result.get();
     if (!table.ok()) {
       ++failed;
@@ -159,7 +179,7 @@ Status CostModel::CollectStatistics(
   if (failed > 0 && !tolerate_failures) {
     return Status(first_error.code(),
                   std::to_string(failed) + " of " +
-                      std::to_string(probes.size()) +
+                      std::to_string(pending.probes.size()) +
                       " COUNT probes failed; first: " +
                       first_error.ToString());
   }

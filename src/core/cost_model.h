@@ -2,6 +2,7 @@
 #define LUSAIL_CORE_COST_MODEL_H_
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,18 +27,35 @@ namespace lusail::core {
 ///   C(sq)        = max over sq's projected variables of C(sq, v)
 class CostModel {
  public:
+  /// COUNT probes on the wire, not yet answered: SubmitProbes' output,
+  /// CollectProbes' input. The destructor waits out probes that were
+  /// never collected, so a caller may return early with one in hand.
+  class PendingProbes {
+   public:
+    PendingProbes(PendingProbes&&) = default;
+    PendingProbes& operator=(PendingProbes&&) = delete;
+    ~PendingProbes();
+
+   private:
+    friend class CostModel;
+    struct Probe {
+      int tp;
+      int ep;
+      std::string cache_key;
+      std::string endpoint_id;
+      std::future<Result<sparql::ResultTable>> result;
+    };
+    PendingProbes() = default;
+
+    std::vector<Probe> probes;
+    bool use_cache = false;
+  };
+
   explicit CostModel(const fed::Federation* federation)
       : federation_(federation) {}
 
-  /// Issues the COUNT probes (in parallel, on the federation's request
-  /// pool) and stores the statistics.
-  /// Probes go through `retry` when given. A failed probe normally fails
-  /// collection; with `tolerate_failures` it is skipped instead — its
-  /// (pattern, endpoint) count stays 0, biasing that subquery toward the
-  /// concurrent phase, which only affects performance, not correctness.
-  /// With `use_cache`, probes consult the federation's shared
-  /// cache::FederationCache (when attached) before going to the network,
-  /// and store fresh results there.
+  /// Issues the COUNT probes and stores the statistics: SubmitProbes
+  /// then CollectProbes.
   Status CollectStatistics(const std::vector<sparql::TriplePattern>& triples,
                            const std::vector<std::vector<int>>& sources,
                            const std::vector<sparql::Expr>& filters,
@@ -46,6 +64,30 @@ class CostModel {
                            const net::RetryPolicy* retry = nullptr,
                            bool tolerate_failures = false,
                            bool use_cache = true);
+
+  /// The first step of CollectStatistics: stores the counts the shared
+  /// cache already holds and submits the other probes to the
+  /// federation's request pool without waiting for them, so a caller can
+  /// put other independent requests (GJV checks) into the same wave.
+  /// With `use_cache`, probes consult the federation's shared
+  /// cache::FederationCache (when attached) before going to the network.
+  /// Probes go through `retry` when given; their request spans are
+  /// parented to the collector's trace parent at submission.
+  PendingProbes SubmitProbes(const std::vector<sparql::TriplePattern>& triples,
+                             const std::vector<std::vector<int>>& sources,
+                             const std::vector<sparql::Expr>& filters,
+                             fed::MetricsCollector* metrics,
+                             const Deadline& deadline,
+                             const net::RetryPolicy* retry = nullptr,
+                             bool use_cache = true);
+
+  /// The second step: waits for the probes, stores their counts, and
+  /// (with the submission's `use_cache`) caches fresh results. A failed
+  /// probe normally fails collection; with `tolerate_failures` it is
+  /// skipped instead — its (pattern, endpoint) count stays 0, biasing
+  /// that subquery toward the concurrent phase, which only affects
+  /// performance, not correctness.
+  Status CollectProbes(PendingProbes pending, bool tolerate_failures = false);
 
   /// Cardinality of pattern `tp_index` at endpoint `ep` (0 if unprobed).
   uint64_t PatternCount(int tp_index, int ep) const;

@@ -16,15 +16,13 @@ std::pair<int, int> OrderedPair(int a, int b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
 
-/// One pending locality check: the pair it would incriminate and the
-/// query to run at every relevant endpoint.
-struct Check {
-  std::string var;
-  std::pair<int, int> pair;
-  std::string query_text;
-};
-
 }  // namespace
+
+GjvDetector::PendingChecks::~PendingChecks() {
+  for (Request& request : requests) {
+    if (request.nonempty.valid()) request.nonempty.wait();
+  }
+}
 
 std::string GjvDetector::CheckQueryText(
     const std::string& var, const TriplePattern& outer,
@@ -46,9 +44,21 @@ Result<GjvResult> GjvDetector::Detect(
     const std::vector<std::vector<int>>& sources,
     fed::MetricsCollector* metrics, const Deadline& deadline,
     bool use_cache, const net::RetryPolicy* retry, bool tolerate_failures) {
-  GjvResult result;
+  return CollectChecks(
+      SubmitChecks(triples, sources, metrics, deadline, use_cache, retry),
+      tolerate_failures);
+}
+
+GjvDetector::PendingChecks GjvDetector::SubmitChecks(
+    const std::vector<TriplePattern>& triples,
+    const std::vector<std::vector<int>>& sources,
+    fed::MetricsCollector* metrics, const Deadline& deadline,
+    bool use_cache, const net::RetryPolicy* retry) {
+  PendingChecks pending;
+  pending.use_cache = use_cache;
+  GjvResult& result = pending.result;
   std::vector<JoinVariable> join_vars = QueryGraph::JoinVariables(triples);
-  std::vector<Check> checks;
+  std::vector<PendingChecks::Check>& checks = pending.checks;
 
   for (const JoinVariable& jv : join_vars) {
     // Variables in the predicate position join data across predicates; we
@@ -90,7 +100,7 @@ Result<GjvResult> GjvDetector::Detect(
     for (int ti : jv.type_patterns) type_tps.push_back(triples[ti]);
 
     auto add_check = [&](int outer_idx, int inner_idx) {
-      Check check;
+      PendingChecks::Check check;
       check.var = jv.name;
       check.pair = OrderedPair(outer_idx, inner_idx);
       check.query_text = CheckQueryText(jv.name, triples[outer_idx],
@@ -121,19 +131,14 @@ Result<GjvResult> GjvDetector::Detect(
     }
   }
 
-  // Execute the checks at their relevant endpoints through the
+  // Submit the checks to their relevant endpoints through the
   // federation's request pool.
-  struct Pending {
-    size_t check_index;
-    std::string cache_key;
-    std::string endpoint_id;
-    std::future<Result<bool>> nonempty;
-  };
   cache::FederationCache* shared =
       use_cache ? federation_->query_cache() : nullptr;
-  std::vector<Pending> pending;
+  obs::SpanId trace_parent =
+      metrics != nullptr ? metrics->trace_parent() : 0;
   for (size_t ci = 0; ci < checks.size(); ++ci) {
-    const Check& check = checks[ci];
+    const PendingChecks::Check& check = checks[ci];
     // Both patterns of the pair have the same relevant sources here.
     const std::vector<int>& eps = sources[check.pair.first];
     for (int ep : eps) {
@@ -149,58 +154,60 @@ Result<GjvResult> GjvDetector::Detect(
           continue;
         }
       }
-      Pending p;
-      p.check_index = ci;
-      p.cache_key = key;
-      p.endpoint_id = federation_->id(ep);
-      std::string text = check.query_text;
-      p.nonempty =
-          federation_->SubmitRequest([this, ep, text = std::move(text),
-                                      metrics, deadline,
-                                      retry]() -> Result<bool> {
+      PendingChecks::Request request;
+      request.check_index = ci;
+      request.cache_key = key;
+      request.endpoint_id = federation_->id(ep);
+      request.nonempty = federation_->SubmitRequest(
+          [this, ep, text = check.query_text, metrics, deadline, retry,
+           trace_parent]() -> Result<bool> {
             LUSAIL_ASSIGN_OR_RETURN(
                 sparql::ResultTable table,
                 federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                     deadline, retry));
+                                     deadline, retry, trace_parent));
             return !table.rows.empty();
           });
-      pending.push_back(std::move(p));
+      pending.requests.push_back(std::move(request));
       ++result.check_queries;
     }
   }
+  return pending;
+}
 
+Result<GjvResult> GjvDetector::CollectChecks(PendingChecks pending,
+                                             bool tolerate_failures) {
+  cache::FederationCache* shared =
+      pending.use_cache ? federation_->query_cache() : nullptr;
+  GjvResult& result = pending.result;
   std::vector<Status> failures;
-  for (Pending& p : pending) {
-    Result<bool> nonempty = p.nonempty.get();
+  for (PendingChecks::Request& request : pending.requests) {
+    const PendingChecks::Check& check = pending.checks[request.check_index];
+    Result<bool> nonempty = request.nonempty.get();
     if (!nonempty.ok()) {
       if (tolerate_failures) {
         // Unverifiable locality: conservatively treat the pair as causing
         // (its variable goes global), which is always correct — it only
         // costs an extra federator-side join.
-        result.causes[checks[p.check_index].var].insert(
-            checks[p.check_index].pair);
+        result.causes[check.var].insert(check.pair);
       } else {
         failures.push_back(nonempty.status());
       }
       continue;
     }
-    cache_->Put(p.cache_key, *nonempty);
+    cache_->Put(request.cache_key, *nonempty);
     if (shared != nullptr) {
-      shared->PutVerdict(p.cache_key, p.endpoint_id, *nonempty);
+      shared->PutVerdict(request.cache_key, request.endpoint_id, *nonempty);
     }
-    if (*nonempty) {
-      result.causes[checks[p.check_index].var].insert(
-          checks[p.check_index].pair);
-    }
+    if (*nonempty) result.causes[check.var].insert(check.pair);
   }
   if (!failures.empty()) {
     std::string msg = std::to_string(failures.size()) + " of " +
-                      std::to_string(pending.size()) +
+                      std::to_string(pending.requests.size()) +
                       " locality check queries failed; first: " +
                       failures.front().ToString();
     return Status(failures.front().code(), std::move(msg));
   }
-  return result;
+  return std::move(result);
 }
 
 }  // namespace lusail::core

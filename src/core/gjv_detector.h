@@ -1,6 +1,7 @@
 #ifndef LUSAIL_CORE_GJV_DETECTOR_H_
 #define LUSAIL_CORE_GJV_DETECTOR_H_
 
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -62,21 +63,68 @@ struct GjvResult {
 /// by the paper's Lemma 2).
 class GjvDetector {
  public:
+  /// Check queries on the wire, not yet answered: SubmitChecks' output,
+  /// CollectChecks' input. The destructor waits out requests that were
+  /// never collected, so a caller may return early with one in hand.
+  class PendingChecks {
+   public:
+    PendingChecks(PendingChecks&&) = default;
+    PendingChecks& operator=(PendingChecks&&) = delete;
+    ~PendingChecks();
+
+   private:
+    friend class GjvDetector;
+    struct Check {
+      std::string var;
+      std::pair<int, int> pair;  ///< The pair a non-empty answer flags.
+      std::string query_text;    ///< Run at every relevant endpoint.
+    };
+    struct Request {
+      size_t check_index;
+      std::string cache_key;
+      std::string endpoint_id;
+      std::future<Result<bool>> nonempty;
+    };
+    PendingChecks() = default;
+
+    GjvResult result;  ///< Source mismatches and cached verdicts applied.
+    std::vector<Check> checks;
+    std::vector<Request> requests;
+    bool use_cache = false;
+  };
+
   GjvDetector(const fed::Federation* federation, fed::AskCache* check_cache)
       : federation_(federation), cache_(check_cache) {}
 
   /// Runs detection for `triples`, whose per-pattern relevant sources are
-  /// `sources` (from source selection). `use_cache=false` forces fresh
-  /// check queries. Check queries go through `retry` when given. A failed
-  /// check normally fails detection; with `tolerate_failures` the pair is
-  /// conservatively treated as a causing pair instead (uncached) — its
-  /// variable becomes global, which is always correct, just less optimal.
+  /// `sources` (from source selection): SubmitChecks then CollectChecks.
   Result<GjvResult> Detect(const std::vector<sparql::TriplePattern>& triples,
                            const std::vector<std::vector<int>>& sources,
                            fed::MetricsCollector* metrics,
                            const Deadline& deadline, bool use_cache,
                            const net::RetryPolicy* retry = nullptr,
                            bool tolerate_failures = false);
+
+  /// The first step of Detect: decides every variable that needs no
+  /// endpoint (source mismatch, cached verdicts) and submits the
+  /// remaining check queries to the federation's request pool without
+  /// waiting for them, so a caller can put other independent requests
+  /// into the same wave. `use_cache=false` forces fresh check queries.
+  /// Check queries go through `retry` when given; their request spans
+  /// are parented to the collector's trace parent at submission.
+  PendingChecks SubmitChecks(const std::vector<sparql::TriplePattern>& triples,
+                             const std::vector<std::vector<int>>& sources,
+                             fed::MetricsCollector* metrics,
+                             const Deadline& deadline, bool use_cache,
+                             const net::RetryPolicy* retry = nullptr);
+
+  /// The second step of Detect: waits for the submitted check queries
+  /// and folds their verdicts into the result (and the caches). A failed
+  /// check normally fails detection; with `tolerate_failures` the pair is
+  /// conservatively treated as a causing pair instead (uncached) — its
+  /// variable becomes global, which is always correct, just less optimal.
+  Result<GjvResult> CollectChecks(PendingChecks pending,
+                                  bool tolerate_failures = false);
 
   /// Builds the Figure 5 check-query text for one (outer, inner) pair:
   /// SELECT ?v WHERE { [type triples] <outer pattern> FILTER NOT EXISTS {

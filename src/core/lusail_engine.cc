@@ -230,15 +230,18 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   out.sources.assign(sources.begin(),
                      sources.begin() + query.where.triples.size());
 
+  // One wave for the check queries and the COUNT probes, as in
+  // ExecuteBgp.
   GjvDetector detector(federation_, &check_cache_);
-  LUSAIL_ASSIGN_OR_RETURN(
-      out.gjvs, detector.Detect(combined, sources, &metrics, deadline,
-                                options_.use_cache, retry, tolerate));
-
   CostModel cost_model(federation_);
-  LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
+  GjvDetector::PendingChecks checks = detector.SubmitChecks(
+      combined, sources, &metrics, deadline, options_.use_cache, retry);
+  CostModel::PendingProbes probes = cost_model.SubmitProbes(
       query.where.triples, out.sources, query.where.filters, &metrics,
-      deadline, retry, tolerate, options_.use_cache));
+      deadline, retry, options_.use_cache);
+  LUSAIL_ASSIGN_OR_RETURN(out.gjvs,
+                          detector.CollectChecks(std::move(checks), tolerate));
+  LUSAIL_RETURN_NOT_OK(cost_model.CollectProbes(std::move(probes), tolerate));
   Decomposer decomposer(&cost_model);
   std::set<std::string> needed = NeededVars(query);
   out.decomposition =
@@ -321,10 +324,12 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
       options_.retry_policy.enabled() ? &options_.retry_policy : nullptr;
   const bool tolerate = options_.partial_results;
   fed::SourceSelector selector(federation_, &ask_cache_);
+  fed::RequestWave source_wave(metrics, profile);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
       selector.SelectSources(combined, metrics, deadline, options_.use_cache,
                              retry, tolerate));
+  source_wave.End();
   source_span.Annotate("patterns", static_cast<uint64_t>(combined.size()));
   source_span.End();
   profile->source_selection_ms += timer.ElapsedMillis();
@@ -346,25 +351,32 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
 
   // Phase B: LADE — GJV detection (over mandatory + candidate-optional
   // patterns so causing pairs across the OPTIONAL boundary are known),
-  // statistics, and decomposition of the mandatory BGP.
+  // statistics, and decomposition of the mandatory BGP. The check queries
+  // and the COUNT probes go out as one wave: the probes read only the
+  // patterns and their sources, never a GJV verdict. Their request spans
+  // hang off the LADE span; "statistics" covers only the wait left once
+  // the verdicts are in.
   timer.Restart();
   fed::PhaseSpan lade_span(metrics, "LADE analysis");
   GjvDetector detector(federation_, &check_cache_);
+  CostModel cost_model(federation_);
   Decomposition decomposition;
   GjvResult gjvs;
   {
-    fed::PhaseSpan gjv_span(metrics, "gjv detection");
-    LUSAIL_ASSIGN_OR_RETURN(gjvs,
-                            detector.Detect(combined, sources, metrics,
-                                            deadline, options_.use_cache,
-                                            retry, tolerate));
-  }
-  CostModel cost_model(federation_);
-  {
+    fed::RequestWave lade_wave(metrics, profile);
+    GjvDetector::PendingChecks checks = detector.SubmitChecks(
+        combined, sources, metrics, deadline, options_.use_cache, retry);
+    CostModel::PendingProbes probes = cost_model.SubmitProbes(
+        triples, sources, filters, metrics, deadline, retry,
+        options_.use_cache);
+    {
+      fed::PhaseSpan gjv_span(metrics, "gjv detection");
+      LUSAIL_ASSIGN_OR_RETURN(
+          gjvs, detector.CollectChecks(std::move(checks), tolerate));
+    }
     fed::PhaseSpan stats_span(metrics, "statistics");
-    LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
-        triples, sources, filters, metrics, deadline, retry, tolerate,
-        options_.use_cache));
+    LUSAIL_RETURN_NOT_OK(
+        cost_model.CollectProbes(std::move(probes), tolerate));
   }
   {
     fed::PhaseSpan decomp_span(metrics, "decomposition");
@@ -487,8 +499,15 @@ Result<fed::FederatedResult> LusailEngine::Execute(
   Result<BindingTable> table_or =
       ExecutePattern(query.where, needed, &dict, &metrics, cancel,
                      &result.profile, push_limit);
-  if (!table_or.ok()) {
+  auto finish_profile = [&] {
     metrics.FillCounters(&result.profile);
+    if (trace.enabled()) {
+      trace.tracer()->Annotate(trace.root(), "round_trips",
+                               result.profile.round_trips);
+    }
+  };
+  if (!table_or.ok()) {
+    finish_profile();
     trace.Attach(&result.profile);
     return table_or.status();
   }
@@ -499,7 +518,7 @@ Result<fed::FederatedResult> LusailEngine::Execute(
                     dict);
   result.profile.execution_ms += finish_timer.ElapsedMillis();
 
-  metrics.FillCounters(&result.profile);
+  finish_profile();
   result.profile.total_ms = total_timer.ElapsedMillis();
   trace.Attach(&result.profile);
   return result;

@@ -47,7 +47,7 @@ struct LusailOptions {
   bool enable_optional_pushdown = true;
 
   /// Number of bindings per VALUES block in bound joins of delayed
-  /// subqueries.
+  /// subqueries. All blocks of one bound join go out as one request wave.
   size_t bound_join_block_size = 50;
 
   /// Worker threads of the engine's CPU pool, which runs only join
@@ -56,10 +56,6 @@ struct LusailOptions {
   /// Endpoint requests never run here: they go to the federation's
   /// request pool (fed::Federation::SubmitRequest, fed::kRequestThreads).
   size_t num_threads = 0;
-
-  /// Sample size for the delayed-subquery source-refinement ASK probes
-  /// (re-running source selection with found bindings, Algorithm 3 l.13).
-  size_t source_refinement_sample = 10;
 
   /// Maximum probe ranges per join: a join with enough work
   /// (core::kJoinParallelWork) splits its left rows into at most this

@@ -1,9 +1,9 @@
 #include "core/sape.h"
 
 #include <algorithm>
-#include <future>
-#include <map>
+#include <limits>
 #include <set>
+#include <span>
 #include <unordered_set>
 
 #include "cache/federation_cache.h"
@@ -143,7 +143,7 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
 
 Result<BindingTable> SapeExecutor::FetchEndpoint(
     int ep, const std::string& text, const std::string& cache_key,
-    bool cacheable, fed::SharedDictionary* dict,
+    fed::SharedDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     const net::RetryPolicy* retry, obs::SpanId trace_parent) {
   // Queued fetches whose token already fired bail before touching the
@@ -151,7 +151,7 @@ Result<BindingTable> SapeExecutor::FetchEndpoint(
   // behind a cancelled query in the request pool.
   if (cancel.Cancelled()) return cancel.StatusAt("endpoint fetch");
   cache::FederationCache* shared =
-      (cacheable && options_->use_cache && options_->result_cache)
+      (options_->use_cache && options_->result_cache)
           ? federation_->query_cache()
           : nullptr;
   std::string endpoint_id;
@@ -191,89 +191,98 @@ Result<BindingTable> SapeExecutor::FetchEndpoint(
   return ids;
 }
 
+void SapeExecutor::Submit(const Subquery& sq, size_t slot,
+                          const std::string& text,
+                          const std::string& cache_key,
+                          fed::SharedDictionary* dict,
+                          fed::MetricsCollector* metrics,
+                          const CancelToken& cancel, obs::SpanId trace_parent,
+                          const CancelToken& budget,
+                          std::vector<Fetch>* wave) {
+  const net::RetryPolicy* retry = RetryOf(options_);
+  for (int ep : sq.sources) {
+    wave->push_back(
+        {slot, ep,
+         federation_->SubmitRequest([this, ep, text, cache_key, dict, metrics,
+                                     cancel, retry, trace_parent, budget,
+                                     projection = sq.projection]() {
+           if (budget.CancelRequested()) {
+             BindingTable skipped;
+             skipped.vars = projection;
+             return Result<BindingTable>(std::move(skipped));
+           }
+           return FetchEndpoint(ep, text, cache_key, dict, metrics, cancel,
+                                retry, trace_parent);
+         })});
+  }
+}
+
+Status SapeExecutor::Collect(std::vector<Fetch>* wave,
+                             std::vector<BindingTable>* tables,
+                             const char* phase,
+                             fed::MetricsCollector* metrics,
+                             const std::function<void(const Fetch&)>& landed) {
+  std::vector<EndpointFailure> failures;
+  std::vector<size_t> successes(tables->size(), 0);
+  std::vector<bool> failed(tables->size(), false);
+  for (Fetch& fetch : *wave) {
+    Result<BindingTable> part = fetch.result.get();
+    if (part.ok()) {
+      ++successes[fetch.slot];
+      AppendUnionIds(&(*tables)[fetch.slot], *part);
+    } else {
+      failures.push_back({fetch.endpoint, part.status()});
+      failed[fetch.slot] = true;
+    }
+    if (landed) landed(fetch);
+  }
+  if (failures.empty()) return Status::OK();
+  if (!options_->partial_results) {
+    return AggregateFailures(federation_, phase, failures, wave->size());
+  }
+  // Graceful degradation: each per-endpoint result is one branch of the
+  // subquery's UNION — dropping a branch yields a subset of the exact
+  // answer, which is exactly what partial_results promises.
+  if (metrics != nullptr) {
+    for (const EndpointFailure& f : failures) {
+      metrics->RecordEndpointDropped(
+          federation_->id(static_cast<size_t>(f.endpoint)));
+    }
+    for (size_t slot = 0; slot < tables->size(); ++slot) {
+      if (failed[slot] && successes[slot] == 0) {
+        metrics->RecordSubqueryDropped();
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Result<BindingTable> SapeExecutor::RunEverywhere(
     const Subquery& sq, const std::vector<TriplePattern>& triples,
-    const sparql::ValuesClause* values,
-    const std::vector<rdf::TermId>* bound_ids, fed::SharedDictionary* dict,
-    fed::MetricsCollector* metrics, const CancelToken& cancel,
-    obs::SpanId trace_parent, size_t row_limit) {
-  std::string text = sq.ToSparql(triples, values);
+    fed::SharedDictionary* dict, fed::MetricsCollector* metrics,
+    const CancelToken& cancel, obs::SpanId trace_parent, size_t row_limit) {
+  std::string text = sq.ToSparql(triples, nullptr);
   // The LIMIT rides inside the text, so the shared result cache keys a
   // limited fetch separately from the unlimited one — a capped answer
   // never masquerades as the full result on a later warm run.
   if (row_limit > 0) text += "\nLIMIT " + std::to_string(row_limit);
-  const net::RetryPolicy* retry = RetryOf(options_);
-  // Unbound texts key the shared result cache directly. Bound (VALUES)
-  // fetches are keyed as base text + an id-space fingerprint of the
-  // binding block (one precomputed 8-byte content hash mixed per binding
-  // instead of serializing the block; content hashes keep the key stable
-  // across engines sharing the cache), so re-running a query in a warm
-  // serving process skips its bound joins too while giant VALUES
-  // serializations stay out of the cache index.
-  std::string cache_key = text;
-  bool cacheable = true;
-  if (values != nullptr) {
-    if (bound_ids == nullptr || values->vars.empty()) {
-      // No id-space identity for the block: skip the cache rather than
-      // risk keying different blocks identically.
-      cacheable = false;
-    } else {
-      cache_key = sq.ToSparql(triples, nullptr) + "\n#values-block:" +
-                  FingerprintIdBindings(values->vars[0].name, *dict,
-                                        bound_ids->data(), bound_ids->size());
-    }
-  }
   // Row budget: fired once the union already holds `row_limit` rows.
   // Fetches still queued behind the satisfied point skip the wire and
   // return empty — a budget hit is a cutoff, never a failure.
   CancelToken budget =
       row_limit > 0 ? CancelToken::Cancellable() : CancelToken();
-  std::vector<std::future<Result<BindingTable>>> futures;
-  futures.reserve(sq.sources.size());
-  for (int ep : sq.sources) {
-    futures.push_back(federation_->SubmitRequest(
-        [this, ep, text, cache_key, cacheable, dict, metrics, cancel, retry,
-         trace_parent, budget, projection = sq.projection]() {
-          if (budget.CancelRequested()) {
-            BindingTable skipped;
-            skipped.vars = projection;
-            return Result<BindingTable>(std::move(skipped));
-          }
-          return FetchEndpoint(ep, text, cache_key, cacheable, dict, metrics,
-                               cancel, retry, trace_parent);
-        }));
-  }
-  BindingTable merged;
-  merged.vars = sq.projection;
-  std::vector<EndpointFailure> failures;
-  size_t successes = 0;
-  for (size_t k = 0; k < futures.size(); ++k) {
-    Result<BindingTable> table = futures[k].get();
-    if (!table.ok()) {
-      failures.push_back({sq.sources[k], table.status()});
-      continue;
-    }
-    ++successes;
-    AppendUnionIds(&merged, *table);
-    if (row_limit > 0 && merged.NumRows() >= row_limit) budget.Cancel();
-  }
-  if (!failures.empty()) {
-    if (!options_->partial_results) {
-      return AggregateFailures(federation_, "subquery evaluation", failures,
-                               futures.size());
-    }
-    // Graceful degradation: each per-endpoint result is one branch of the
-    // subquery's UNION — dropping a branch yields a subset of the exact
-    // answer, which is exactly what partial_results promises.
-    if (metrics != nullptr) {
-      for (const EndpointFailure& f : failures) {
-        metrics->RecordEndpointDropped(
-            federation_->id(static_cast<size_t>(f.endpoint)));
-      }
-      if (successes == 0) metrics->RecordSubqueryDropped();
-    }
-  }
-  return merged;
+  std::vector<Fetch> wave;
+  Submit(sq, 0, text, text, dict, metrics, cancel, trace_parent, budget,
+         &wave);
+  std::vector<BindingTable> merged(1);
+  merged[0].vars = sq.projection;
+  LUSAIL_RETURN_NOT_OK(Collect(
+      &wave, &merged, "subquery evaluation", metrics, [&](const Fetch&) {
+        if (row_limit > 0 && merged[0].NumRows() >= row_limit) {
+          budget.Cancel();
+        }
+      }));
+  return std::move(merged[0]);
 }
 
 Result<BindingTable> SapeExecutor::Execute(
@@ -281,7 +290,7 @@ Result<BindingTable> SapeExecutor::Execute(
     const std::vector<TriplePattern>& triples, fed::SharedDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     fed::ExecutionProfile* profile, size_t row_limit) {
-  auto track_peak = [profile](const std::vector<BindingTable>& tables) {
+  auto track_peak = [profile](std::span<const BindingTable> tables) {
     if (profile == nullptr) return;
     uint64_t total = 0;
     for (const BindingTable& t : tables) total += t.NumRows();
@@ -316,13 +325,15 @@ Result<BindingTable> SapeExecutor::Execute(
       tracer->Annotate(span, "limit_pushdown",
                        static_cast<uint64_t>(row_limit));
     }
-    Result<BindingTable> table =
-        RunEverywhere(subqueries[0], triples, nullptr, nullptr, dict, metrics,
-                      cancel, span, row_limit);
+    fed::RequestWave wave(metrics, profile);
+    Result<BindingTable> table = RunEverywhere(
+        subqueries[0], triples, dict, metrics, cancel, span, row_limit);
+    wave.End();
     if (tracer != nullptr) tracer->EndSpan(span);
     if (table.ok() && cancel.Cancelled()) {
       return cancel.StatusAt("subquery evaluation");
     }
+    if (table.ok()) track_peak({&*table, 1});
     return table;
   }
 
@@ -346,83 +357,34 @@ Result<BindingTable> SapeExecutor::Execute(
   // Every (subquery, endpoint) request is one flat request-pool task that
   // never waits on another (this thread is the only one that waits), so
   // all non-delayed subqueries are in flight at once, non-blocking, as in
-  // Algorithm 3 lines 6-7.
-  struct Fetch {
-    size_t sq_index;
-    int endpoint;
-    std::future<Result<BindingTable>> result;
-  };
-  const net::RetryPolicy* retry = RetryOf(options_);
-  std::vector<Fetch> fetches;
-  std::vector<size_t> phase1_order;
-  std::map<size_t, BindingTable> phase1_tables;
-  std::map<size_t, size_t> phase1_successes;
-  std::map<size_t, obs::SpanId> phase1_spans;
-  std::map<size_t, size_t> phase1_pending;
+  // Algorithm 3 lines 6-7. Slot k of the wave is the k-th non-delayed
+  // subquery.
+  std::vector<BindingTable> tables;
+  std::vector<obs::SpanId> phase1_spans;
+  std::vector<size_t> phase1_pending;
+  std::vector<Fetch> wave;
+  fed::RequestWave phase1_wave(metrics, profile);
   for (size_t i = 0; i < subqueries.size(); ++i) {
     if (subqueries[i].delayed) continue;
-    phase1_order.push_back(i);
-    BindingTable empty;
-    empty.vars = subqueries[i].projection;
-    phase1_tables.emplace(i, std::move(empty));
-    phase1_successes.emplace(i, 0);
-    obs::SpanId span = start_sq_span(i, "concurrent");
-    phase1_spans.emplace(i, span);
-    phase1_pending.emplace(i, subqueries[i].sources.size());
+    size_t slot = tables.size();
+    tables.emplace_back().vars = subqueries[i].projection;
+    phase1_spans.push_back(start_sq_span(i, "concurrent"));
+    phase1_pending.push_back(subqueries[i].sources.size());
     std::string text = subqueries[i].ToSparql(triples, nullptr);
-    for (int ep : subqueries[i].sources) {
-      Fetch fetch;
-      fetch.sq_index = i;
-      fetch.endpoint = ep;
-      fetch.result = federation_->SubmitRequest(
-          [this, ep, text, dict, metrics, cancel, retry, span]() {
-            return FetchEndpoint(ep, text, /*cache_key=*/text,
-                                 /*cacheable=*/true, dict, metrics, cancel,
-                                 retry, span);
-          });
-      fetches.push_back(std::move(fetch));
-    }
+    Submit(subqueries[i], slot, text, text, dict, metrics, cancel,
+           phase1_spans.back(), CancelToken(), &wave);
   }
-  std::vector<EndpointFailure> phase1_failures;
-  std::set<size_t> phase1_failed_sqs;
-  for (Fetch& fetch : fetches) {
-    Result<BindingTable> part = fetch.result.get();
-    if (!part.ok()) {
-      phase1_failures.push_back({fetch.endpoint, part.status()});
-      phase1_failed_sqs.insert(fetch.sq_index);
-    } else {
-      ++phase1_successes[fetch.sq_index];
-      AppendUnionIds(&phase1_tables[fetch.sq_index], *part);
-    }
-    // The subquery span closes when its last endpoint result lands.
-    if (tracer != nullptr && --phase1_pending[fetch.sq_index] == 0) {
-      obs::SpanId span = phase1_spans[fetch.sq_index];
-      tracer->Annotate(
-          span, "rows",
-          static_cast<uint64_t>(phase1_tables[fetch.sq_index].NumRows()));
-      tracer->EndSpan(span);
-    }
-  }
-  if (!phase1_failures.empty()) {
-    if (!options_->partial_results) {
-      return AggregateFailures(federation_, "SAPE phase 1 (concurrent "
-                               "subqueries)", phase1_failures,
-                               fetches.size());
-    }
-    if (metrics != nullptr) {
-      for (const EndpointFailure& f : phase1_failures) {
-        metrics->RecordEndpointDropped(
-            federation_->id(static_cast<size_t>(f.endpoint)));
-      }
-      for (size_t sq_index : phase1_failed_sqs) {
-        if (phase1_successes[sq_index] == 0) metrics->RecordSubqueryDropped();
-      }
-    }
-  }
-  std::vector<BindingTable> tables;
-  for (size_t i : phase1_order) {
-    tables.push_back(std::move(phase1_tables[i]));
-  }
+  LUSAIL_RETURN_NOT_OK(Collect(
+      &wave, &tables, "SAPE phase 1 (concurrent subqueries)", metrics,
+      [&](const Fetch& fetch) {
+        // The subquery span closes when its last endpoint result lands.
+        if (tracer == nullptr || --phase1_pending[fetch.slot] != 0) return;
+        tracer->Annotate(
+            phase1_spans[fetch.slot], "rows",
+            static_cast<uint64_t>(tables[fetch.slot].NumRows()));
+        tracer->EndSpan(phase1_spans[fetch.slot]);
+      }));
+  phase1_wave.End();
 
   // Eagerly join connected non-delayed results; this shrinks the found
   // bindings the delayed subqueries will be probed with.
@@ -522,8 +484,10 @@ Result<BindingTable> SapeExecutor::Execute(
     auto [bind_var, bindings] = found_bindings_for(sq);
     if (bind_var.empty()) {
       // Nothing to bind with: evaluate unbound like phase 1.
-      Result<BindingTable> t = RunEverywhere(sq, triples, nullptr, nullptr,
-                                             dict, metrics, cancel, sq_span);
+      fed::RequestWave delayed_wave(metrics, profile);
+      Result<BindingTable> t =
+          RunEverywhere(sq, triples, dict, metrics, cancel, sq_span);
+      delayed_wave.End();
       if (!t.ok()) {
         end_sq_span(0);
         return t.status();
@@ -540,103 +504,51 @@ Result<BindingTable> SapeExecutor::Execute(
                        static_cast<uint64_t>(bindings.size()));
     }
 
-    // Source refinement (Algorithm 3, line 13): for generic subqueries
-    // (single pattern, >= 2 variables) probe each endpoint with a sampled
-    // VALUES block and drop endpoints that answer no sample.
-    std::vector<int> sources = sq.sources;
-    if (sq.triple_indices.size() == 1 &&
-        triples[sq.triple_indices[0]].VariableCount() >= 2 &&
-        sources.size() > 1 && !bindings.empty()) {
-      sparql::ValuesClause sample;
-      sample.vars.push_back(sparql::Variable{bind_var});
-      size_t n = std::min(options_->source_refinement_sample, bindings.size());
-      for (size_t i = 0; i < n; ++i) {
-        sample.rows.push_back({dict->term(bindings[i])});
-      }
-      sparql::Query ask;
-      ask.form = sparql::QueryForm::kAsk;
-      ask.where.triples.push_back(triples[sq.triple_indices[0]]);
-      ask.where.values.push_back(sample);
-      std::string ask_text = sparql::QueryToString(ask);
-      cache::FederationCache* shared =
-          options_->use_cache ? federation_->query_cache() : nullptr;
-      std::vector<std::future<Result<bool>>> probes;
-      for (int ep : sources) {
-        probes.push_back(federation_->SubmitRequest([this, ep, ask_text,
-                                                     metrics, cancel, retry,
-                                                     sq_span, shared]() {
-          if (cancel.Cancelled()) {
-            return Result<bool>(cancel.StatusAt("source refinement"));
-          }
-          std::string endpoint_id;
-          std::string key;
-          if (shared != nullptr) {
-            endpoint_id = federation_->id(static_cast<size_t>(ep));
-            key = cache::FederationCache::Key(endpoint_id, ask_text);
-            std::optional<bool> cached = shared->GetVerdict(key);
-            if (cached.has_value()) return Result<bool>(*cached);
-          }
-          Result<bool> answer = federation_->Ask(
-              static_cast<size_t>(ep), ask_text, metrics, cancel.deadline(),
-              retry, sq_span);
-          if (shared != nullptr && answer.ok()) {
-            shared->PutVerdict(key, endpoint_id, *answer);
-          }
-          return answer;
-        }));
-      }
-      std::vector<int> kept;
-      for (size_t i = 0; i < probes.size(); ++i) {
-        Result<bool> has = probes[i].get();
-        // On sampling-probe failure, keep the endpoint (conservative).
-        if (!has.ok() || *has) kept.push_back(sources[i]);
-      }
-      if (!kept.empty()) sources = std::move(kept);
-    }
-
-    // Bound join: ship the found bindings in VALUES blocks.
+    // Bound join: ship the found bindings in VALUES blocks, every (block,
+    // endpoint) fetch in one wave; the union stays block-major. Each block
+    // keys the shared result cache as the unbound text plus an id-space
+    // fingerprint of its bindings (one precomputed 8-byte content hash
+    // per binding instead of the serialized block; content hashes keep
+    // the key stable across engines sharing the cache), so a warm serving
+    // process skips repeated bound joins too while giant VALUES
+    // serializations stay out of the cache index. Fetches still queued
+    // when the token fires skip the wire (FetchEndpoint).
     Subquery bound_sq = sq;
-    bound_sq.sources = sources;
     if (std::find(bound_sq.projection.begin(), bound_sq.projection.end(),
                   bind_var) == bound_sq.projection.end()) {
       bound_sq.projection.push_back(bind_var);
     }
-    BindingTable merged;
-    merged.vars = bound_sq.projection;
+    const std::string base_text = bound_sq.ToSparql(triples, nullptr);
     const size_t block = std::max<size_t>(1, options_->bound_join_block_size);
-    size_t values_blocks = 0;
+    std::vector<Fetch> bound_wave;
+    fed::RequestWave delayed_wave(metrics, profile);
     for (size_t start = 0; start < bindings.size(); start += block) {
-      // Re-check per chunk: a bound join with many binding blocks must
-      // stop at the first block past the deadline/cancel, not overshoot
-      // by the full remaining chunk count.
-      if (cancel.Cancelled()) {
-        end_sq_span(merged.NumRows());
-        return cancel.StatusAt("bound join");
-      }
+      size_t n = std::min(bindings.size() - start, block);
       sparql::ValuesClause values;
       values.vars.push_back(sparql::Variable{bind_var});
-      size_t end = std::min(bindings.size(), start + block);
-      std::vector<rdf::TermId> chunk_ids(bindings.begin() + start,
-                                         bindings.begin() + end);
-      for (rdf::TermId id : chunk_ids) {
-        values.rows.push_back({dict->term(id)});
+      for (size_t k = start; k < start + n; ++k) {
+        values.rows.push_back({dict->term(bindings[k])});
       }
-      ++values_blocks;
-      Result<BindingTable> part =
-          RunEverywhere(bound_sq, triples, &values, &chunk_ids, dict, metrics,
-                        cancel, sq_span);
-      if (!part.ok()) {
-        end_sq_span(merged.NumRows());
-        return part.status();
-      }
-      AppendUnionIds(&merged, *part);
+      Submit(bound_sq, 0, bound_sq.ToSparql(triples, &values),
+             base_text + "\n#values-block:" +
+                 FingerprintIdBindings(bind_var, *dict,
+                                       bindings.data() + start, n),
+             dict, metrics, cancel, sq_span, CancelToken(), &bound_wave);
     }
     if (tracer != nullptr) {
-      tracer->Annotate(sq_span, "values_blocks",
-                       static_cast<uint64_t>(values_blocks));
+      tracer->Annotate(
+          sq_span, "values_blocks",
+          static_cast<uint64_t>((bindings.size() + block - 1) / block));
     }
-    end_sq_span(merged.NumRows());
-    tables.push_back(std::move(merged));
+    std::vector<BindingTable> merged(1);
+    merged[0].vars = bound_sq.projection;
+    Status collected =
+        Collect(&bound_wave, &merged, "subquery evaluation", metrics);
+    delayed_wave.End();
+    end_sq_span(merged[0].NumRows());
+    if (cancel.Cancelled()) return cancel.StatusAt("bound join");
+    LUSAIL_RETURN_NOT_OK(collected);
+    tables.push_back(std::move(merged[0]));
     track_peak(tables);
     tables = JoinConnected(std::move(tables), pool_,
                            options_->join_partitions, &cancel);

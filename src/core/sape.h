@@ -1,6 +1,8 @@
 #ifndef LUSAIL_CORE_SAPE_H_
 #define LUSAIL_CORE_SAPE_H_
 
+#include <functional>
+#include <future>
 #include <vector>
 
 #include "common/cancel.h"
@@ -21,14 +23,17 @@ namespace lusail::core {
 /// Phase 1 submits every non-delayed subquery to all of its relevant
 /// endpoints concurrently (one task per endpoint through the federation's
 /// request pool, the Elastic Request Handler), unions each subquery's
-/// per-endpoint results,
-/// and eagerly joins connected results. Phase 2 evaluates the delayed
-/// subqueries in increasing refined-cardinality order as bound joins:
-/// the already-found bindings of a shared variable are shipped in VALUES
-/// blocks; generic single-pattern subqueries first refine their relevant
-/// sources with sampled ASK probes. The global join runs as a parallel
+/// per-endpoint results, and eagerly joins connected results. Phase 2
+/// evaluates the delayed subqueries in increasing refined-cardinality
+/// order as bound joins: the already-found bindings of a shared variable
+/// are shipped in VALUES blocks, every (block, endpoint) fetch of one
+/// bound join in a single request wave. Unlike Algorithm 3, line 13, no
+/// source refinement runs first: an exact one costs as much as the bound
+/// join it guards, and an endpoint with no match already answers that
+/// join with an empty block. The global join runs as a parallel
 /// partitioned hash join in the order chosen by the DP join optimizer;
 /// `pool` runs only those join partitions, never an endpoint request.
+/// Each request wave adds a round trip to the profile (fed::RequestWave).
 class SapeExecutor {
  public:
   SapeExecutor(const fed::Federation* federation, ThreadPool* pool,
@@ -39,9 +44,10 @@ class SapeExecutor {
   /// table (all subquery projections merged). With options.enable_sape
   /// false, every subquery runs concurrently (no delaying) and results
   /// are joined at the federator — the paper's "LADE only" mode.
-  /// The token is checked before every endpoint fetch, between VALUES
-  /// chunks of a bound join, and around every global-join step, so
-  /// execution unwinds with kTimeout within one chunk of it firing.
+  /// The token is checked before every endpoint fetch (queued fetches of
+  /// a fired token skip the wire), after every request wave, and around
+  /// every global-join step, so execution unwinds with kTimeout within
+  /// one wave of it firing.
   ///
   /// `row_limit` > 0 is a pushdown hint: the caller needs any `row_limit`
   /// rows (top-level LIMIT, no ORDER BY/DISTINCT, nothing downstream that
@@ -58,11 +64,16 @@ class SapeExecutor {
       size_t row_limit = 0);
 
  private:
-  /// Runs one subquery (optionally with a VALUES block) at all of its
-  /// relevant endpoints concurrently and unions the results in `dict`'s
-  /// id space. When `values` is set, `bound_ids` must carry the block's
-  /// binding ids — they key the shared result cache via an id-space
-  /// fingerprint instead of hashing the serialized block. Requests are
+  /// One endpoint fetch on the request pool. Its rows union into table
+  /// `slot` of the wave it belongs to.
+  struct Fetch {
+    size_t slot;
+    int endpoint;
+    std::future<Result<fed::BindingTable>> result;
+  };
+
+  /// Runs one unbound subquery at all of its relevant endpoints as one
+  /// wave and unions the results in `dict`'s id space. Requests are
   /// traced as children of `trace_parent` (the subquery's span) — an
   /// explicit parent, because requests run on request-pool threads while
   /// the collector's default parent tracks the caller's current phase.
@@ -72,19 +83,35 @@ class SapeExecutor {
   /// fetch still queued behind it returns an empty table instead of
   /// touching the wire. In-flight requests are not interrupted — the
   /// budget is a cutoff for upstream work, not a failure.
-  Result<fed::BindingTable> RunEverywhere(const Subquery& sq,
-                                          const std::vector<sparql::TriplePattern>& triples,
-                                          const sparql::ValuesClause* values,
-                                          const std::vector<rdf::TermId>* bound_ids,
-                                          fed::SharedDictionary* dict,
-                                          fed::MetricsCollector* metrics,
-                                          const CancelToken& cancel,
-                                          obs::SpanId trace_parent = 0,
-                                          size_t row_limit = 0);
+  Result<fed::BindingTable> RunEverywhere(
+      const Subquery& sq, const std::vector<sparql::TriplePattern>& triples,
+      fed::SharedDictionary* dict, fed::MetricsCollector* metrics,
+      const CancelToken& cancel, obs::SpanId trace_parent = 0,
+      size_t row_limit = 0);
+
+  /// Submits one FetchEndpoint of `text` per source of `sq` to the
+  /// request pool without waiting, appending the fetches (tagged `slot`)
+  /// to `wave`. A fetch that starts after `budget` fired returns an
+  /// empty table with `sq`'s projection instead.
+  void Submit(const Subquery& sq, size_t slot, const std::string& text,
+              const std::string& cache_key, fed::SharedDictionary* dict,
+              fed::MetricsCollector* metrics, const CancelToken& cancel,
+              obs::SpanId trace_parent, const CancelToken& budget,
+              std::vector<Fetch>* wave);
+
+  /// Waits for every fetch of `wave` in submission order and unions its
+  /// rows into `(*tables)[fetch.slot]`; `landed` runs after each fetch.
+  /// Then the failures: without options.partial_results, one error that
+  /// names them all (`phase` says where); with it, the dropped endpoints
+  /// and every slot that lost all of its endpoints are recorded instead.
+  Status Collect(std::vector<Fetch>* wave,
+                 std::vector<fed::BindingTable>* tables, const char* phase,
+                 fed::MetricsCollector* metrics,
+                 const std::function<void(const Fetch&)>& landed = {});
 
   /// One endpoint request in id space, routed through the federation's
-  /// shared result cache when this engine opted in (options.result_cache)
-  /// and `cacheable` holds. `cache_key` identifies the fetch in the
+  /// shared result cache when this engine opted in (options.result_cache).
+  /// `cache_key` identifies the fetch in the
   /// shared cache: the query text itself for unbound subqueries, or the
   /// base subquery text plus an id-space fingerprint of the VALUES
   /// binding block for bound (delayed-phase) fetches — so a warm serving
@@ -95,7 +122,6 @@ class SapeExecutor {
   /// into `dict` hands back ids untouched.
   Result<fed::BindingTable> FetchEndpoint(int ep, const std::string& text,
                                           const std::string& cache_key,
-                                          bool cacheable,
                                           fed::SharedDictionary* dict,
                                           fed::MetricsCollector* metrics,
                                           const CancelToken& cancel,

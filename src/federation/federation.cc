@@ -62,6 +62,7 @@ obs::JsonValue ProfileToJson(const ExecutionProfile& profile) {
   out.Set("execution_ms", profile.execution_ms);
   out.Set("total_ms", profile.total_ms);
   out.Set("pushed_optionals", profile.pushed_optionals);
+  out.Set("round_trips", profile.round_trips);
   out.Set("peak_intermediate_rows", profile.peak_intermediate_rows);
   out.Set("retries", profile.retries);
   out.Set("breaker_rejections", profile.breaker_rejections);

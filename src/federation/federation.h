@@ -56,6 +56,11 @@ struct ExecutionProfile {
   /// OPTIONAL blocks LADE pushed into endpoint subqueries (Lusail only).
   uint64_t pushed_optionals = 0;
 
+  /// Sequential request waves that put at least one request on the wire
+  /// (Lusail only; see RequestWave). Under a slept network the query's
+  /// wall time is about this many round trips.
+  uint64_t round_trips = 0;
+
   /// Largest number of intermediate binding rows held at once — the
   /// memory-footprint proxy of the paper's extended-version experiments.
   uint64_t peak_intermediate_rows = 0;
@@ -178,6 +183,12 @@ class MetricsCollector {
     return trace_parent_.load(std::memory_order_acquire);
   }
 
+  /// Endpoint requests accounted so far.
+  uint64_t requests() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return requests_;
+  }
+
   /// Copies the counters into a profile (phase timings are the caller's)
   /// as one consistent snapshot.
   void FillCounters(ExecutionProfile* profile) const {
@@ -280,6 +291,34 @@ class PhaseSpan {
   MetricsCollector* metrics_ = nullptr;
   obs::SpanId span_ = 0;
   obs::SpanId prev_ = 0;
+};
+
+/// One wave of concurrent endpoint requests that the coordinator waits
+/// out as a whole. End() (or the destructor) adds one round trip to
+/// `profile` when `metrics` accounted a request since construction: a
+/// wave answered entirely from caches costs no round trip. Either
+/// pointer may be null, which makes the wave a no-op.
+class RequestWave {
+ public:
+  RequestWave(const MetricsCollector* metrics, ExecutionProfile* profile)
+      : metrics_(profile != nullptr ? metrics : nullptr), profile_(profile) {
+    if (metrics_ != nullptr) before_ = metrics_->requests();
+  }
+  RequestWave(const RequestWave&) = delete;
+  RequestWave& operator=(const RequestWave&) = delete;
+  ~RequestWave() { End(); }
+
+  void End() {
+    if (metrics_ != nullptr && metrics_->requests() > before_) {
+      ++profile_->round_trips;
+    }
+    metrics_ = nullptr;
+  }
+
+ private:
+  const MetricsCollector* metrics_;
+  ExecutionProfile* profile_;
+  uint64_t before_ = 0;
 };
 
 /// Per-query tracing harness shared by all engines: when `enabled`, owns
@@ -418,7 +457,7 @@ class Federation {
   /// Runs `fn` on the federation's request pool and returns its future.
   /// This is the paper's Elastic Request Handler: every endpoint-request
   /// fan-out (ASK probes, locality checks, COUNT probes, subquery and
-  /// bound-join fetches, refinement probes) goes through here, never
+  /// bound-join fetches) goes through here, never
   /// through an engine's CPU pool, so a fan-out to n <= kRequestThreads
   /// endpoints costs one round trip however few cores the engine uses.
   /// The first request `fn` issues annotates its trace span with

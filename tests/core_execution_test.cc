@@ -479,5 +479,152 @@ TEST(RequestDispatchTest, ConcurrencyFollowsTheFederationNotTheCpuPool) {
   EXPECT_LT(result->profile.source_selection_ms, 3 * kRttMs);
 }
 
+// ---------------------------------------------------------------------
+// Request waves: round trips under a slept network
+// ---------------------------------------------------------------------
+
+constexpr const char* kUbPrefix =
+    "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+
+/// Small LUBM, one endpoint per university, every request slept `rtt_ms`.
+std::unique_ptr<fed::Federation> SleptLubm(int universities, double rtt_ms) {
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = universities;
+  return workload::BuildFederation(
+      workload::LubmGenerator(config).GenerateAll(),
+      net::LatencyModel{/*request_latency_ms=*/rtt_ms,
+                        /*bandwidth_bytes_per_ms=*/0.0,
+                        /*sleep_scale=*/1.0});
+}
+
+/// The value of annotation `key` on the first span that carries it.
+std::string AnnotationOf(const obs::Trace& trace, const std::string& key) {
+  for (const obs::Span& span : trace.spans) {
+    for (const obs::SpanAnnotation& a : span.annotations) {
+      if (a.key == key) return a.value;
+    }
+  }
+  return "";
+}
+
+/// The `student-point` shape of perfbench's lubm-geo: one student's
+/// courses and their names. Source selection, then the COUNT probes (the
+/// ?c patterns' source lists differ, so no check query), the phase-1
+/// fetch, and one bound join for the course names: four waves. A sampled
+/// source refinement before the bound join once made it five.
+TEST(RoundTripTest, StudentPointTakesFourWaves) {
+  constexpr double kRttMs = 20.0;
+  auto federation = SleptLubm(8, kRttMs);
+  LusailOptions options;
+  options.trace = true;
+  LusailEngine engine(federation.get(), options);
+  auto result = engine.Execute(
+      std::string(kUbPrefix) +
+      "SELECT ?c ?cn WHERE { "
+      "<http://www.department0.university1.edu/graduateStudent3> "
+      "ub:takesCourse ?c . ?c ub:name ?cn . }");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->table.rows.empty());
+  ASSERT_NE(result->profile.trace, nullptr);
+  EXPECT_EQ(AnnotationOf(*result->profile.trace, "mode"), "concurrent");
+  EXPECT_EQ(result->profile.round_trips, 4u);
+  // The query span carries the count too.
+  auto roots = result->profile.trace->ByCategory("query");
+  ASSERT_EQ(roots.size(), 1u);
+  bool annotated = false;
+  for (const obs::SpanAnnotation& a : roots[0]->annotations) {
+    if (a.key == "round_trips") annotated = a.value == "4";
+  }
+  EXPECT_TRUE(annotated);
+}
+
+/// All VALUES blocks of one bound join go out as one wave: three blocks
+/// cost the round trip that one block costs, not three.
+TEST(RoundTripTest, BoundJoinBlocksShareOneWave) {
+  constexpr double kRttMs = 40.0;
+  const std::string query =
+      std::string(kUbPrefix) +
+      "SELECT ?x ?d ?n WHERE { ?x ub:worksFor ?d . ?x ub:name ?n }";
+  auto federation = SleptLubm(2, kRttMs);
+  auto run = [&](size_t block_size) {
+    LusailOptions options;
+    options.trace = true;
+    options.bound_join_block_size = block_size;
+    LusailEngine engine(federation.get(), options);  // Fresh caches.
+    return engine.Execute(query);
+  };
+  auto one_block = run(1000);
+  ASSERT_TRUE(one_block.ok()) << one_block.status().ToString();
+  const obs::Trace& one_trace = *one_block->profile.trace;
+  ASSERT_EQ(AnnotationOf(one_trace, "values_blocks"), "1");
+  size_t bindings = std::stoul(AnnotationOf(one_trace, "bindings"));
+  ASSERT_GE(bindings, 3u);
+
+  auto three_blocks = run((bindings + 2) / 3);
+  ASSERT_TRUE(three_blocks.ok()) << three_blocks.status().ToString();
+  EXPECT_EQ(AnnotationOf(*three_blocks->profile.trace, "values_blocks"), "3");
+  EXPECT_EQ(three_blocks->table.rows.size(), one_block->table.rows.size());
+  // Source selection, LADE, phase 1, and the bound join.
+  EXPECT_EQ(one_block->profile.round_trips, 4u);
+  EXPECT_EQ(three_blocks->profile.round_trips, 4u);
+  // Phase 1 and one bound-join wave; blocks sent one after another would
+  // take four round trips here.
+  EXPECT_LT(three_blocks->profile.execution_ms, 3 * kRttMs);
+}
+
+/// GJV check queries and COUNT probes are independent, so they share one
+/// wave. ?x's name and email patterns have the same two sources, so ?x
+/// needs check queries in both directions at both endpoints, beside one
+/// COUNT probe per pattern and endpoint.
+TEST(RoundTripTest, ChecksAndCountProbesShareOneWave) {
+  constexpr double kRttMs = 40.0;
+  auto federation = SleptLubm(2, kRttMs);
+  LusailOptions options;
+  options.trace = true;
+  LusailEngine engine(federation.get(), options);
+  auto result = engine.Execute(
+      std::string(kUbPrefix) +
+      "SELECT ?x ?n ?e WHERE { ?x ub:name ?n . ?x ub:emailAddress ?e . }");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const obs::Trace& trace = *result->profile.trace;
+  const obs::Span* lade = nullptr;
+  for (const obs::Span* span : trace.ByCategory("phase")) {
+    if (span->name == "LADE analysis") lade = span;
+  }
+  ASSERT_NE(lade, nullptr);
+  size_t lade_requests = 0;
+  for (const obs::Span* span : trace.ByCategory("request")) {
+    if (span->parent == lade->id) ++lade_requests;
+  }
+  // 2 directions x 2 endpoints checks + 2 patterns x 2 endpoints probes.
+  EXPECT_EQ(lade_requests, 8u);
+  // Source selection, LADE, phase 1, and the bound join the checks'
+  // causing pair calls for.
+  EXPECT_EQ(result->profile.round_trips, 4u);
+  // Checks first and probes after would take two round trips.
+  EXPECT_LT(result->profile.analysis_ms, 1.6 * kRttMs);
+}
+
+/// A single-subquery plan holds the whole-query union as its one
+/// intermediate table, so the peak is at least the answer (LUBM Q1 is
+/// evaluated whole at each endpoint).
+TEST(SapeProfileTest, SingleSubqueryPlanRecordsPeakRows) {
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = 2;
+  auto federation = workload::BuildFederation(
+      workload::LubmGenerator(config).GenerateAll(),
+      net::LatencyModel::None());
+  LusailOptions options;
+  options.trace = true;
+  LusailEngine engine(federation.get(), options);
+  auto result = engine.Execute(workload::LubmGenerator::Q1());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(AnnotationOf(*result->profile.trace, "mode"), "whole query");
+  EXPECT_GT(result->profile.rows_received, 0u);
+  EXPECT_GT(result->table.rows.size(), 0u);
+  EXPECT_GE(result->profile.peak_intermediate_rows,
+            result->table.rows.size());
+}
+
 }  // namespace
 }  // namespace lusail::core

@@ -443,6 +443,7 @@ TEST(ProfileToJsonTest, AllCountersSurvive) {
   profile.network_ms = 1.5;
   profile.total_ms = 9.25;
   profile.pushed_optionals = 1;
+  profile.round_trips = 4;
   profile.peak_intermediate_rows = 64;
   profile.retries = 2;
   profile.failed_endpoint_ids = {"ep1"};
@@ -457,6 +458,7 @@ TEST(ProfileToJsonTest, AllCountersSurvive) {
   EXPECT_DOUBLE_EQ(json.Get("network_ms").AsDouble(), 1.5);
   EXPECT_DOUBLE_EQ(json.Get("total_ms").AsDouble(), 9.25);
   EXPECT_EQ(json.Get("pushed_optionals").AsUint(), 1u);
+  EXPECT_EQ(json.Get("round_trips").AsUint(), 4u);
   EXPECT_EQ(json.Get("peak_intermediate_rows").AsUint(), 64u);
   EXPECT_EQ(json.Get("retries").AsUint(), 2u);
   EXPECT_TRUE(json.Get("partial").AsBool());
