@@ -940,24 +940,14 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "# %zu rows (engine: %s)\n", result->table.NumRows(),
                engine->name().c_str());
   PrintProfile(result->profile);
-  // One Prometheus-style line per shard counter, so scripts (and CI) can
+  // The shard counters in Prometheus text, so scripts (and CI) can
   // assert on routing behavior without scraping a metrics port.
-  for (const shard::ShardedEndpoint* sharded : sharded_endpoints) {
-    shard::ShardedEndpointStats s = sharded->stats();
-    const char* id = sharded->id().c_str();
-    std::fprintf(stderr,
-                 "# lusail_shard_queries_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_fanout_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_pruned_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_single_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_broadcast_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_partial_total{endpoint=\"%s\"} %llu\n",
-                 id, static_cast<unsigned long long>(s.queries),
-                 id, static_cast<unsigned long long>(s.fanout_requests),
-                 id, static_cast<unsigned long long>(s.pruned_shards),
-                 id, static_cast<unsigned long long>(s.single_shard_queries),
-                 id, static_cast<unsigned long long>(s.broadcast_fallbacks),
-                 id, static_cast<unsigned long long>(s.partial_queries));
+  if (!sharded_endpoints.empty()) {
+    obs::MetricsSnapshot shard_metrics;
+    for (const shard::ShardedEndpoint* sharded : sharded_endpoints) {
+      sharded->ExportMetrics(&shard_metrics);
+    }
+    std::fputs(shard_metrics.RenderPrometheus().c_str(), stderr);
   }
   if (engine == &lusail) {
     core::DictionaryStats dict_stats = lusail.dictionary()->GetStats();

@@ -143,7 +143,8 @@ Result<BindingTable> AnapsidEngine::ExecutePattern(
       fetch.result =
           federation_->SubmitRequest([this, ep, text, metrics, deadline]() {
             return federation_->Execute(static_cast<size_t>(ep), text,
-                                        metrics, deadline, Retry());
+                                        fed::RequestKind::kFetch, metrics,
+                                        deadline, Retry());
           });
       fetches.push_back(std::move(fetch));
     }

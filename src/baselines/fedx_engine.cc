@@ -198,8 +198,9 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     for (int ep : op.sources) {
       LUSAIL_ASSIGN_OR_RETURN(
           sparql::ResultTable part,
-          federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                               deadline, Retry()));
+          federation_->Execute(static_cast<size_t>(ep), text,
+                               fed::RequestKind::kFetch, metrics, deadline,
+                               Retry()));
       core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
     }
     return fetched;
@@ -271,8 +272,9 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     for (int ep : op.sources) {
       LUSAIL_ASSIGN_OR_RETURN(
           sparql::ResultTable part,
-          federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                               deadline, Retry()));
+          federation_->Execute(static_cast<size_t>(ep), text,
+                               fed::RequestKind::kFetch, metrics, deadline,
+                               Retry()));
       core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
     }
     if (result_cap.has_value()) {

@@ -232,7 +232,8 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
         for (int ep : sources[k]) {
           LUSAIL_ASSIGN_OR_RETURN(
               sparql::ResultTable part,
-              federation_->Execute(static_cast<size_t>(ep), text, metrics,
+              federation_->Execute(static_cast<size_t>(ep), text,
+                                   fed::RequestKind::kFetch, metrics,
                                    deadline));
           core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
         }
@@ -243,7 +244,8 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
       for (int ep : sources[k]) {
         LUSAIL_ASSIGN_OR_RETURN(
             sparql::ResultTable part,
-            federation_->Execute(static_cast<size_t>(ep), text, metrics,
+            federation_->Execute(static_cast<size_t>(ep), text,
+                                 fed::RequestKind::kFetch, metrics,
                                  deadline));
         core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
       }

@@ -29,11 +29,4 @@ Result<net::QueryResponse> CachedAskEndpoint::QueryCancellable(
   return response;
 }
 
-obs::JsonValue CachedAskEndpoint::StatsJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("ask_hits", hits());
-  out.Set("ask_misses", misses());
-  return out;
-}
-
 }  // namespace lusail::cache

@@ -8,7 +8,7 @@
 
 #include "cache/federation_cache.h"
 #include "net/endpoint.h"
-#include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace lusail::cache {
 
@@ -51,9 +51,6 @@ class CachedAskEndpoint : public net::Endpoint {
   /// ASK queries that had to be evaluated by the inner endpoint (cold
   /// probes).
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
-  /// {"ask_hits": ..., "ask_misses": ...}
-  obs::JsonValue StatsJson() const;
 
   /// Emits lusail_ask_cache_{hits,misses}_total{endpoint=<id>}.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const {

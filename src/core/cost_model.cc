@@ -1,13 +1,13 @@
 #include "core/cost_model.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <future>
+#include <limits>
 #include <set>
 
 #include "cache/federation_cache.h"
+#include "sparql/probe.h"
 
 namespace lusail::core {
 
@@ -40,34 +40,6 @@ MeanStd ComputeMeanStd(const std::vector<double>& xs,
 }
 
 }  // namespace
-
-uint64_t ParseCountLiteral(const rdf::Term& term) {
-  const std::string& lex = term.lexical();
-  // Fast path: a plain decimal integer (optionally '+'-signed), which is
-  // what COUNT(*) yields everywhere. strtoull keeps all 64 bits where a
-  // double round-trip would round above 2^53.
-  size_t start = (!lex.empty() && lex[0] == '+') ? 1 : 0;
-  bool all_digits = lex.size() > start;
-  for (size_t i = start; i < lex.size(); ++i) {
-    if (lex[i] < '0' || lex[i] > '9') {
-      all_digits = false;
-      break;
-    }
-  }
-  if (all_digits) {
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(lex.c_str() + start, &end, 10);
-    if (errno == ERANGE) return std::numeric_limits<uint64_t>::max();
-    if (end == lex.c_str() + lex.size()) return static_cast<uint64_t>(value);
-  }
-  // Fallback: scientific/decimal forms ("1.2e3") via double, saturating
-  // instead of invoking the undefined negative/overflow casts.
-  double d = term.AsDouble();
-  if (!(d > 0.0)) return 0;  // NaN and negatives count as zero rows.
-  if (d >= 18446744073709551615.0) return std::numeric_limits<uint64_t>::max();
-  return static_cast<uint64_t>(d);
-}
 
 std::string CostModel::CountQueryText(
     const sparql::TriplePattern& tp,
@@ -144,8 +116,8 @@ CostModel::PendingProbes CostModel::SubmitProbes(
       probe.result = federation_->SubmitRequest(
           [this, ep, text, metrics, deadline, retry, trace_parent]() {
             return federation_->Execute(static_cast<size_t>(ep), text,
-                                        metrics, deadline, retry,
-                                        trace_parent);
+                                        fed::RequestKind::kProbe, metrics,
+                                        deadline, retry, trace_parent);
           });
       pending.probes.push_back(std::move(probe));
     }
@@ -169,7 +141,7 @@ Status CostModel::CollectProbes(PendingProbes pending,
     uint64_t count = 0;
     if (!table->rows.empty() && !table->rows[0].empty() &&
         table->rows[0][0].has_value()) {
-      count = ParseCountLiteral(*table->rows[0][0]);
+      count = sparql::ParseCountLiteral(*table->rows[0][0]);
     }
     counts_[{probe.tp, probe.ep}] = count;
     if (shared != nullptr) {

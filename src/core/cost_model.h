@@ -116,14 +116,6 @@ class CostModel {
   std::map<std::pair<int, int>, uint64_t> counts_;  ///< (tp, ep) -> count.
 };
 
-/// Parses a COUNT-probe literal as an exact unsigned integer. Plain
-/// decimal digit strings (the form every real endpoint returns) are
-/// parsed directly so counts above 2^53 keep full 64-bit precision —
-/// going through double would silently round them. Non-integral numeric
-/// literals fall back to AsDouble with saturation at uint64 max;
-/// non-numeric literals parse as 0.
-uint64_t ParseCountLiteral(const rdf::Term& term);
-
 /// Chauvenet's criterion: flags values whose expected number of
 /// occurrences in a normal sample of this size is below 0.5. Applied
 /// before computing the delay threshold so extreme subqueries do not

@@ -163,7 +163,8 @@ GjvDetector::PendingChecks GjvDetector::SubmitChecks(
            trace_parent]() -> Result<bool> {
             LUSAIL_ASSIGN_OR_RETURN(
                 sparql::ResultTable table,
-                federation_->Execute(static_cast<size_t>(ep), text, metrics,
+                federation_->Execute(static_cast<size_t>(ep), text,
+                                     fed::RequestKind::kProbe, metrics,
                                      deadline, retry, trace_parent));
             return !table.rows.empty();
           });

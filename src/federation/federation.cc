@@ -93,9 +93,9 @@ void Federation::ConfigureBreakers(const net::CircuitBreakerConfig& config) {
 }
 
 Result<net::QueryResponse> Federation::ExecuteResponse(
-    size_t i, const std::string& text, MetricsCollector* metrics,
-    const Deadline& deadline, const net::RetryPolicy* retry,
-    obs::SpanId trace_parent) const {
+    size_t i, const std::string& text, RequestKind kind,
+    MetricsCollector* metrics, const Deadline& deadline,
+    const net::RetryPolicy* retry, obs::SpanId trace_parent) const {
   if (i >= endpoints_.size()) {
     return Status::NotFound("no endpoint with index " + std::to_string(i));
   }
@@ -104,7 +104,6 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
     return Status::Timeout("query deadline expired before request to " +
                            endpoint_id);
   }
-  bool is_ask = LooksLikeAskQuery(text);
   // Only the first request of a dispatched task waited in the queue.
   std::optional<double> queued_ms = std::exchange(t_queued_ms, std::nullopt);
   obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
@@ -114,7 +113,7 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
         trace_parent != 0 ? trace_parent : metrics->trace_parent();
     span = tracer->StartSpan("request " + endpoint_id, "request", parent);
     tracer->Annotate(span, "endpoint", endpoint_id);
-    tracer->Annotate(span, "is_ask", is_ask);
+    tracer->Annotate(span, "is_ask", kind == RequestKind::kAsk);
     if (queued_ms.has_value()) {
       tracer->Annotate(span, "queued_ms", *queued_ms);
     }
@@ -147,7 +146,7 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
   }
   trace_scope.reset();
   if (metrics != nullptr) {
-    metrics->RecordExchange(response.ok() ? &*response : nullptr, is_ask,
+    metrics->RecordExchange(response.ok() ? &*response : nullptr, kind,
                             outcome);
     // A sharded endpoint answering in partial-results mode names the
     // members it dropped; fold them into the profile's failed-endpoint
@@ -227,12 +226,12 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
 }
 
 Result<sparql::ResultTable> Federation::Execute(
-    size_t i, const std::string& text, MetricsCollector* metrics,
-    const Deadline& deadline, const net::RetryPolicy* retry,
-    obs::SpanId trace_parent) const {
+    size_t i, const std::string& text, RequestKind kind,
+    MetricsCollector* metrics, const Deadline& deadline,
+    const net::RetryPolicy* retry, obs::SpanId trace_parent) const {
   LUSAIL_ASSIGN_OR_RETURN(
       net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, deadline, retry, trace_parent));
+      ExecuteResponse(i, text, kind, metrics, deadline, retry, trace_parent));
   if (response.ids != nullptr) {
     // A string-path consumer over an endpoint that parses straight to
     // ids (set_parse_dictionary): decode at the boundary so callers see
@@ -247,9 +246,10 @@ Result<BindingTable> Federation::ExecuteEncoded(
     MetricsCollector* metrics, const Deadline& deadline,
     const net::RetryPolicy* retry, obs::SpanId trace_parent,
     std::optional<sparql::ResultTable>* wire_table) const {
-  LUSAIL_ASSIGN_OR_RETURN(
-      net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, deadline, retry, trace_parent));
+  LUSAIL_ASSIGN_OR_RETURN(net::QueryResponse response,
+                          ExecuteResponse(i, text, RequestKind::kFetch,
+                                          metrics, deadline, retry,
+                                          trace_parent));
   if (response.ids != nullptr) {
     if (response.ids_dict.get() == dict) {
       // Fast path: the transport already interned into our dictionary;
@@ -275,9 +275,9 @@ Result<bool> Federation::Ask(size_t i, const std::string& text,
                              const Deadline& deadline,
                              const net::RetryPolicy* retry,
                              obs::SpanId trace_parent) const {
-  LUSAIL_ASSIGN_OR_RETURN(
-      net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, deadline, retry, trace_parent));
+  LUSAIL_ASSIGN_OR_RETURN(net::QueryResponse response,
+                          ExecuteResponse(i, text, RequestKind::kAsk, metrics,
+                                          deadline, retry, trace_parent));
   return response.RowCount() > 0;
 }
 

@@ -39,12 +39,12 @@ struct ExecutionProfile {
   uint64_t ask_requests = 0;   ///< Subset that were ASK probes.
   uint64_t bytes_sent = 0;     ///< Query text shipped to endpoints.
   uint64_t bytes_received = 0; ///< Serialized results received.
-  uint64_t rows_received = 0;  ///< Binding rows received.
+  uint64_t rows_received = 0;  ///< Rows of binding fetches (RequestKind).
   double network_ms = 0.0;     ///< Sum of simulated per-request network time.
 
   /// Wall time from the collector's birth (query start) to the first
-  /// endpoint response that carried at least one binding row; 0 when no
-  /// rows ever arrived. The federated analogue of time-to-first-row: on
+  /// binding fetch that carried at least one row; 0 when no rows ever
+  /// arrived. The federated analogue of time-to-first-row: on
   /// streamed answers it bounds how early the first batch could leave.
   double first_row_ms = 0.0;
 
@@ -92,6 +92,15 @@ struct ExecutionProfile {
 /// the field names). This is the record the benches dump per query.
 obs::JsonValue ProfileToJson(const ExecutionProfile& profile);
 
+/// What an endpoint request is for. Probes and checks answer questions
+/// about the data; only fetches carry the query's binding rows, so only
+/// their rows count as ExecutionProfile::rows_received.
+enum class RequestKind {
+  kFetch,  ///< Subquery or bound-join fetch: binding rows.
+  kAsk,    ///< ASK source-selection probe.
+  kProbe,  ///< COUNT cardinality probe or locality (GJV) check query.
+};
+
 /// Thread-safe accumulator for one federated query execution.
 ///
 /// All counters live under one mutex so a reader (FillCounters, or a
@@ -111,20 +120,20 @@ class MetricsCollector {
   /// produced one) and its retry-loop accounting — into the totals as a
   /// single atomic update. `response` may be null for requests that
   /// failed without a response.
-  void RecordExchange(const net::QueryResponse* response, bool is_ask,
+  void RecordExchange(const net::QueryResponse* response, RequestKind kind,
                       const net::RetryOutcome& outcome) {
     std::lock_guard<std::mutex> lock(mu_);
     if (response != nullptr) {
-      AddResponseLocked(*response, is_ask);
+      AddResponseLocked(*response, kind);
     }
     retries_ += outcome.retries;
     breaker_rejections_ += outcome.breaker_rejections;
     breaker_trips_ += outcome.breaker_trips;
   }
 
-  void RecordRequest(const net::QueryResponse& response, bool is_ask) {
+  void RecordRequest(const net::QueryResponse& response, RequestKind kind) {
     std::lock_guard<std::mutex> lock(mu_);
-    AddResponseLocked(response, is_ask);
+    AddResponseLocked(response, kind);
   }
 
   /// Folds one retry loop's accounting into the query totals.
@@ -213,14 +222,17 @@ class MetricsCollector {
   }
 
  private:
-  void AddResponseLocked(const net::QueryResponse& response, bool is_ask) {
+  void AddResponseLocked(const net::QueryResponse& response,
+                         RequestKind kind) {
     ++requests_;
-    if (is_ask) ++ask_requests_;
+    if (kind == RequestKind::kAsk) ++ask_requests_;
     bytes_sent_ += response.request_bytes;
     bytes_received_ += response.response_bytes;
-    rows_received_ += response.RowCount();
-    if (first_row_ms_ == 0.0 && response.RowCount() > 0) {
-      first_row_ms_ = born_.ElapsedMillis();
+    if (kind == RequestKind::kFetch) {
+      rows_received_ += response.RowCount();
+      if (first_row_ms_ == 0.0 && response.RowCount() > 0) {
+        first_row_ms_ = born_.ElapsedMillis();
+      }
     }
     // Round to the nearest microsecond instead of truncating: a
     // truncating cast floors every request's network time, so workloads
@@ -416,24 +428,26 @@ class Federation {
   }
   cache::FederationCache* query_cache() const { return query_cache_; }
 
-  /// Issues `text` at endpoint `i`. Accounts the exchange into `metrics`
-  /// (when non-null) and fails with Timeout when `deadline` has expired
-  /// before the request is issued. With a non-null `retry` whose policy
-  /// is enabled, retryable failures are retried with backoff under the
-  /// endpoint's circuit breaker, never sleeping past `deadline`; retry
-  /// and breaker activity is accounted into `metrics`.
+  /// Issues `text` at endpoint `i` as a request of `kind`. Accounts the
+  /// exchange into `metrics` (when non-null) and fails with Timeout when
+  /// `deadline` has expired before the request is issued. With a non-null
+  /// `retry` whose policy is enabled, retryable failures are retried with
+  /// backoff under the endpoint's circuit breaker, never sleeping past
+  /// `deadline`; retry and breaker activity is accounted into `metrics`.
   ///
   /// When `metrics` carries a tracer, the exchange is recorded as a
   /// "request" span — parented to `trace_parent` when non-zero, else to
   /// the collector's current default parent — with retry attempts and
   /// breaker rejections as child spans.
   Result<sparql::ResultTable> Execute(size_t i, const std::string& text,
+                                      RequestKind kind,
                                       MetricsCollector* metrics,
                                       const Deadline& deadline,
                                       const net::RetryPolicy* retry = nullptr,
                                       obs::SpanId trace_parent = 0) const;
 
-  /// ID-space variant of Execute: the response lands as a BindingTable in
+  /// ID-space variant of Execute for binding fetches
+  /// (RequestKind::kFetch): the response lands as a BindingTable in
   /// `dict`'s id space. When the endpoint parses straight into this
   /// dictionary (HttpSparqlEndpoint::set_parse_dictionary), the ids pass
   /// through untouched; a string response is encoded here at the
@@ -448,7 +462,8 @@ class Federation {
       const net::RetryPolicy* retry = nullptr, obs::SpanId trace_parent = 0,
       std::optional<sparql::ResultTable>* wire_table = nullptr) const;
 
-  /// Convenience ASK wrapper: true iff the endpoint returned a row.
+  /// Convenience ASK wrapper (RequestKind::kAsk): true iff the endpoint
+  /// returned a row.
   Result<bool> Ask(size_t i, const std::string& text,
                    MetricsCollector* metrics, const Deadline& deadline,
                    const net::RetryPolicy* retry = nullptr,
@@ -498,7 +513,8 @@ class Federation {
   /// accounting, tracing, and endpoint-stats recording, representation
   /// untouched (the response may carry a string table or an IdTable).
   Result<net::QueryResponse> ExecuteResponse(
-      size_t i, const std::string& text, MetricsCollector* metrics,
+      size_t i, const std::string& text, RequestKind kind,
+      MetricsCollector* metrics,
       const Deadline& deadline, const net::RetryPolicy* retry,
       obs::SpanId trace_parent) const;
 

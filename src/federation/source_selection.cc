@@ -6,6 +6,7 @@
 #include "cache/federation_cache.h"
 #include "net/replica.h"
 #include "shard/sharded_endpoint.h"
+#include "sparql/probe.h"
 
 namespace lusail::fed {
 
@@ -15,10 +16,6 @@ std::string PatternCacheKey(const sparql::TriplePattern& tp,
     return tv.is_variable() ? std::string("?") : tv.term().ToString();
   };
   return endpoint_id + "|" + slot(tp.s) + " " + slot(tp.p) + " " + slot(tp.o);
-}
-
-std::string AskQueryText(const sparql::TriplePattern& tp) {
-  return "ASK { " + tp.ToString() + " . }";
 }
 
 Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
@@ -83,7 +80,7 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
       probe.pattern = pi;
       probe.endpoint = ei;
       probe.cache_key = std::move(key);
-      std::string text = AskQueryText(patterns[pi]);
+      std::string text = sparql::AskQueryText(patterns[pi]);
       probe.result = federation_->SubmitRequest(
           [this, ei, text = std::move(text), metrics, deadline, retry]() {
             return federation_->Ask(ei, text, metrics, deadline, retry);

@@ -57,9 +57,6 @@ class AskCache {
 std::string PatternCacheKey(const sparql::TriplePattern& tp,
                             const std::string& endpoint_id);
 
-/// Renders `ASK { s p o . }` for one triple pattern.
-std::string AskQueryText(const sparql::TriplePattern& tp);
-
 /// ASK-based source selection shared by Lusail and the FedX baseline:
 /// every triple pattern is probed at every endpoint (in parallel through
 /// the federation's request pool), except where the cache already knows

@@ -1,7 +1,6 @@
 #include "shard/sharded_endpoint.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -13,6 +12,7 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "sparql/parser.h"
+#include "sparql/probe.h"
 #include "sparql/serializer.h"
 
 namespace lusail::shard {
@@ -37,73 +37,11 @@ struct ShardedEndpoint::ScatterContext {
   obs::TraceContext trace;
 };
 
-obs::JsonValue ShardedEndpointStats::ToJson() const {
-  obs::JsonValue v = obs::JsonValue::Object();
-  v.Set("queries", obs::JsonValue(queries));
-  v.Set("fanoutRequests", obs::JsonValue(fanout_requests));
-  v.Set("prunedShards", obs::JsonValue(pruned_shards));
-  v.Set("singleShardQueries", obs::JsonValue(single_shard_queries));
-  v.Set("askShortCircuits", obs::JsonValue(ask_short_circuits));
-  v.Set("broadcastFallbacks", obs::JsonValue(broadcast_fallbacks));
-  v.Set("partialQueries", obs::JsonValue(partial_queries));
-  v.Set("shardFailures", obs::JsonValue(shard_failures));
-  return v;
-}
-
 namespace {
-
-/// The exact probe text source selection caches verdicts under (keep in
-/// sync with AskQueryText in federation/source_selection.cc).
-std::string AskTextFor(const sparql::TriplePattern& tp) {
-  return "ASK { " + tp.ToString() + " . }";
-}
 
 /// Subject slot rendered as a grouping key: "?name" or the term text.
 std::string SubjectKey(const sparql::TriplePattern& tp) {
   return tp.s.ToString();
-}
-
-std::optional<uint64_t> ParseCount(const rdf::Term& term) {
-  if (!term.is_literal()) return std::nullopt;
-  const std::string& lex = term.lexical();
-  if (lex.empty()) return std::nullopt;
-  char* end = nullptr;
-  uint64_t value = std::strtoull(lex.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return value;
-}
-
-/// The COUNT value in a one-row aggregate response, whichever
-/// representation it arrived in.
-std::optional<uint64_t> CountFromResponse(const QueryResponse& response,
-                                          const std::string& alias) {
-  if (response.ids != nullptr) {
-    if (response.ids->NumRows() == 0) return 0;
-    int idx = response.ids->VarIndex(alias);
-    if (idx < 0 && response.ids->NumVars() == 1) idx = 0;
-    if (idx < 0 || response.ids_dict == nullptr) return std::nullopt;
-    rdf::TermId id = response.ids->At(0, static_cast<size_t>(idx));
-    if (id == rdf::kInvalidTermId) return std::nullopt;
-    return ParseCount(response.ids_dict->term(id));
-  }
-  if (response.table.rows.empty()) return 0;
-  int idx = -1;
-  for (size_t i = 0; i < response.table.vars.size(); ++i) {
-    if (response.table.vars[i] == alias) idx = static_cast<int>(i);
-  }
-  if (idx < 0 && response.table.vars.size() == 1) idx = 0;
-  if (idx < 0) return std::nullopt;
-  const auto& cell = response.table.rows[0][static_cast<size_t>(idx)];
-  if (!cell.has_value()) return std::nullopt;
-  return ParseCount(*cell);
-}
-
-/// A flat sub-pattern the star machinery covers wholesale: a non-empty
-/// BGP plus plain filters, nothing nested.
-bool IsFlatPattern(const sparql::GraphPattern& pattern) {
-  return !pattern.triples.empty() && pattern.exists_filters.empty() &&
-         pattern.optionals.empty() && pattern.unions.empty() &&
-         pattern.values.empty();
 }
 
 }  // namespace
@@ -116,20 +54,13 @@ ShardedEndpoint::ShardedEndpoint(
       map_(std::move(map)),
       members_(std::move(members)),
       options_(options),
-      dict_(std::make_shared<core::TermDictionary>()) {
+      dict_(std::make_shared<core::TermDictionary>()),
+      pool_(options.own_pool_threads) {
   member_ids_.reserve(members_.size());
   for (size_t i = 0; i < members_.size(); ++i) {
     member_ids_.push_back(members_[i] != nullptr ? members_[i]->id()
                                                  : id_ + "#" +
                                                        std::to_string(i));
-    member_requests_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-    member_failures_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-  }
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    own_pool_ = std::make_unique<ThreadPool>(options_.own_pool_threads);
-    pool_ = own_pool_.get();
   }
   if (options_.cache != nullptr) {
     options_.cache->RegisterMemberIds(id_, member_ids_);
@@ -164,25 +95,9 @@ ShardedEndpointStats ShardedEndpoint::stats() const {
   s.pruned_shards = pruned_shards_.load();
   s.single_shard_queries = single_shard_queries_.load();
   s.ask_short_circuits = ask_short_circuits_.load();
-  s.broadcast_fallbacks = broadcast_fallbacks_.load();
   s.partial_queries = partial_queries_.load();
   s.shard_failures = shard_failures_.load();
   return s;
-}
-
-obs::JsonValue ShardedEndpoint::StatsJson() const {
-  obs::JsonValue v = stats().ToJson();
-  v.Set("numShards", obs::JsonValue(static_cast<uint64_t>(members_.size())));
-  obs::JsonValue member_list = obs::JsonValue::Array();
-  for (size_t i = 0; i < members_.size(); ++i) {
-    obs::JsonValue m = obs::JsonValue::Object();
-    m.Set("id", obs::JsonValue(member_ids_[i]));
-    m.Set("requests", obs::JsonValue(member_requests_[i]->load()));
-    m.Set("failures", obs::JsonValue(member_failures_[i]->load()));
-    member_list.Append(std::move(m));
-  }
-  v.Set("members", std::move(member_list));
-  return v;
 }
 
 void ShardedEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
@@ -206,9 +121,6 @@ void ShardedEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
       "lusail_shard_ask_short_circuit_total",
       "ASK queries answered from cached verdicts with zero requests.",
       labels, static_cast<double>(s.ask_short_circuits));
-  snapshot->AddCounter("lusail_shard_broadcast_total",
-                       "Non-decomposable queries broadcast to every shard.",
-                       labels, static_cast<double>(s.broadcast_fallbacks));
   snapshot->AddCounter("lusail_shard_partial_total",
                        "Queries that dropped at least one shard member.",
                        labels, static_cast<double>(s.partial_queries));
@@ -219,8 +131,8 @@ void ShardedEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
 
 // --- Planning -------------------------------------------------------------
 
-bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
-                                bool top_level, Plan* plan) {
+void ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
+                                Plan* plan) {
   plan->pattern = &pattern;
   plan->tail = core::GroupTail::Of(pattern);
   plan->tail.filters.clear();
@@ -258,16 +170,12 @@ bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
         break;
       }
     }
-    if (!pushed) {
-      if (!top_level) return false;  // Correlated nested filter.
-      plan->tail.filters.push_back(&filter);
-    }
+    if (!pushed) plan->tail.filters.push_back(&filter);
   }
 
   // VALUES: pushed into every star that binds all the block's variables
   // (it can only restrict that star), or joined at the gather.
   for (const sparql::ValuesClause& vc : pattern.values) {
-    if (!top_level) return false;
     std::set<std::string> vvars;
     for (const sparql::Variable& v : vc.vars) vvars.insert(v.name);
     bool pushed = false;
@@ -282,30 +190,22 @@ bool ShardedEndpoint::BuildPlan(const sparql::GraphPattern& pattern,
     if (!pushed) plan->tail.values.push_back(&vc);
   }
 
-  if (!top_level) {
-    return pattern.exists_filters.empty() && pattern.optionals.empty() &&
-           pattern.unions.empty();
-  }
-
-  // Nested groups: flat BGPs, planned with the same star machinery.
-  auto plan_nested = [&](const sparql::GraphPattern& block) {
-    Plan sub;
-    if (!IsFlatPattern(block) || !BuildPlan(block, false, &sub)) return false;
-    plan->nested.push_back(std::move(sub));
-    return true;
+  // Nested groups: planned the same way, whatever their shape. An
+  // OPTIONAL's FILTERs over variables its triples do not bind are its
+  // left-join condition, checked at the gather: the plan is its body.
+  auto plan_nested = [plan](const sparql::GraphPattern& block) {
+    plan->nested.emplace_back();
+    BuildPlan(block, &plan->nested.back());
   };
   for (const sparql::GraphPattern& opt : pattern.optionals) {
-    if (!plan_nested(opt)) return false;
+    plan_nested(plan->tail.OptionalBody(opt));
   }
   for (const auto& chain : pattern.unions) {
-    for (const sparql::GraphPattern& alt : chain) {
-      if (!plan_nested(alt)) return false;
-    }
+    for (const sparql::GraphPattern& alt : chain) plan_nested(alt);
   }
   for (const sparql::ExistsFilter& ef : pattern.exists_filters) {
-    if (!plan_nested(ef.pattern)) return false;
+    plan_nested(ef.pattern);
   }
-  return true;
 }
 
 void ShardedEndpoint::RoutePlan(Plan* plan) {
@@ -348,7 +248,8 @@ void ShardedEndpoint::RoutePlan(Plan* plan) {
         bool dead = false;
         for (const sparql::TriplePattern& tp : star.triples) {
           auto verdict = options_.cache->GetVerdict(
-              cache::FederationCache::Key(member_ids_[shard], AskTextFor(tp)));
+              cache::FederationCache::Key(member_ids_[shard],
+                                         sparql::AskQueryText(tp)));
           if (verdict.has_value() && !*verdict) {
             dead = true;
             break;
@@ -370,7 +271,6 @@ Result<QueryResponse> ShardedEndpoint::IssueShardRequest(
     size_t shard, const std::string& text, const CancelToken& cancel,
     ScatterContext* ctx) {
   fanout_requests_.fetch_add(1);
-  member_requests_[shard]->fetch_add(1);
   obs::SpanId span = 0;
   std::optional<obs::TraceContextScope> scope;
   if (ctx->have_trace && ctx->trace.tracer != nullptr) {
@@ -400,7 +300,6 @@ Result<QueryResponse> ShardedEndpoint::IssueShardRequest(
     ctx->over_network = ctx->over_network || result->transport.over_network;
   } else {
     shard_failures_.fetch_add(1);
-    member_failures_[shard]->fetch_add(1);
   }
   return result;
 }
@@ -411,7 +310,7 @@ std::vector<Result<QueryResponse>> ShardedEndpoint::RunScatter(
   std::vector<std::future<Result<QueryResponse>>> futures;
   futures.reserve(jobs.size());
   for (const auto& [shard, text] : jobs) {
-    futures.push_back(pool_->Submit(
+    futures.push_back(pool_.Submit(
         [this, shard = shard, text = text, cancel, ctx]() {
           return IssueShardRequest(shard, text, cancel, ctx);
         }));
@@ -541,9 +440,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteDecomposed(
     const sparql::Query& query, const CancelToken& cancel,
     ScatterContext* ctx) {
   Plan plan;
-  if (!BuildPlan(query.where, /*top_level=*/true, &plan)) {
-    return Broadcast(query, cancel, ctx);
-  }
+  BuildPlan(query.where, &plan);
   RoutePlan(&plan);
   std::set<size_t> touched;
   CollectShards(plan, &touched);
@@ -606,16 +503,27 @@ Result<QueryResponse> ShardedEndpoint::ScatterCount(
       ctx->degraded.insert(member_ids_[jobs[i].first]);
       continue;
     }
-    std::optional<uint64_t> count = CountFromResponse(*r, alias);
-    if (!count.has_value()) {
-      return Status::Internal("shard " + member_ids_[jobs[i].first] +
-                              " returned a malformed COUNT response");
+    // The one COUNT cell, under the alias or as the only column; no row
+    // counts 0. The count becomes the answer, so a malformed one fails.
+    IdTable t = EncodeResponse(*r);
+    uint64_t count = 0;
+    if (t.NumRows() > 0) {
+      int idx = t.VarIndex(alias);
+      if (idx < 0 && t.NumVars() == 1) idx = 0;
+      rdf::TermId id =
+          idx >= 0 ? t.At(0, static_cast<size_t>(idx)) : rdf::kInvalidTermId;
+      if (id == rdf::kInvalidTermId ||
+          !sparql::IsCountLiteral(dict_->term(id))) {
+        return Status::Internal("shard " + member_ids_[jobs[i].first] +
+                                " returned a malformed COUNT response");
+      }
+      count = sparql::ParseCountLiteral(dict_->term(id));
     }
-    total += *count;
+    total += count;
     if (options_.cache != nullptr) {
       options_.cache->PutCount(
           cache::FederationCache::Key(member_ids_[jobs[i].first], text),
-          member_ids_[jobs[i].first], *count);
+          member_ids_[jobs[i].first], count);
     }
   }
   IdTable out;
@@ -633,9 +541,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
                                                   const CancelToken& cancel,
                                                   ScatterContext* ctx) {
   Plan plan;
-  if (!BuildPlan(query.where, /*top_level=*/true, &plan)) {
-    return Broadcast(query, cancel, ctx);
-  }
+  BuildPlan(query.where, &plan);
   RoutePlan(&plan);
 
   bool verdict = false;
@@ -646,7 +552,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
     std::string ask_text;
     if (star.triples.size() == 1 && star.filters.empty() &&
         star.values.empty()) {
-      ask_text = AskTextFor(star.triples.front());
+      ask_text = sparql::AskQueryText(star.triples.front());
     } else {
       sparql::Query ask;
       ask.form = sparql::QueryForm::kAsk;
@@ -702,85 +608,6 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
   if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
   if (verdict) response.table.rows.push_back({});
   return response;
-}
-
-Result<QueryResponse> ShardedEndpoint::Broadcast(const sparql::Query& query,
-                                                 const CancelToken& cancel,
-                                                 ScatterContext* ctx) {
-  broadcast_fallbacks_.fetch_add(1);
-  const size_t n = NumShards();
-
-  if (query.form == sparql::QueryForm::kAsk) {
-    const std::string text = sparql::QueryToString(query);
-    std::vector<std::pair<size_t, std::string>> jobs;
-    for (size_t shard = 0; shard < n; ++shard) jobs.emplace_back(shard, text);
-    std::vector<Result<QueryResponse>> results = RunScatter(jobs, cancel, ctx);
-    bool verdict = false;
-    for (size_t i = 0; i < results.size(); ++i) {
-      Result<QueryResponse>& r = results[i];
-      if (!r.ok()) {
-        if (!options_.partial_results) return r.status();
-        std::lock_guard<std::mutex> lock(ctx->mu);
-        ctx->degraded.insert(member_ids_[jobs[i].first]);
-        continue;
-      }
-      verdict = verdict || r->RowCount() > 0;
-    }
-    QueryResponse response = MakeResponse(ctx);
-    if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
-    if (verdict) response.table.rows.push_back({});
-    return response;
-  }
-
-  // Ship the body (modifiers stripped; a safe LIMIT pushed when legal)
-  // and re-apply aggregate / DISTINCT / ORDER BY / LIMIT at the gather.
-  sparql::Query shard_query = query;
-  shard_query.order_by.clear();
-  shard_query.offset.reset();
-  // Each member may contribute anywhere in the union's first offset+limit
-  // rows, so LIMIT offset+limit per member keeps the gather exact (OFFSET
-  // itself is never shipped). Unlike the federator's pushdown this holds
-  // under DISTINCT too: members apply the same DISTINCT, so each still
-  // ships offset+limit distinct rows.
-  sparql::Query undistinct = query;
-  undistinct.distinct = false;
-  shard_query.limit = core::LimitPushdownBound(undistinct);
-  if (shard_query.aggregate.has_value()) {
-    shard_query.aggregate.reset();
-    shard_query.projection.clear();
-    shard_query.select_all = true;
-    shard_query.distinct = false;
-  } else if (!query.distinct && !shard_query.select_all) {
-    // The gather sorts on ORDER BY keys outside the projection as hidden
-    // columns (not under DISTINCT), so members must ship them.
-    for (const sparql::OrderKey& key : query.order_by) {
-      bool present = false;
-      for (const sparql::Variable& var : shard_query.projection) {
-        if (var.name == key.var.name) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) shard_query.projection.push_back(key.var);
-    }
-  }
-  const std::string text = sparql::QueryToString(shard_query);
-  std::vector<std::pair<size_t, std::string>> jobs;
-  for (size_t shard = 0; shard < n; ++shard) jobs.emplace_back(shard, text);
-  std::vector<Result<QueryResponse>> results = RunScatter(jobs, cancel, ctx);
-  IdTable acc;
-  for (size_t i = 0; i < results.size(); ++i) {
-    Result<QueryResponse>& r = results[i];
-    if (!r.ok()) {
-      if (!options_.partial_results) return r.status();
-      std::lock_guard<std::mutex> lock(ctx->mu);
-      ctx->degraded.insert(member_ids_[jobs[i].first]);
-      continue;
-    }
-    IdTable t = EncodeResponse(*r);
-    core::AppendUnionIds(&acc, t);
-  }
-  return FinishSelect(query, std::move(acc), ctx);
 }
 
 Result<QueryResponse> ShardedEndpoint::FinishSelect(const sparql::Query& query,

@@ -16,7 +16,6 @@
 #include "core/group_pattern.h"
 #include "core/id_table.h"
 #include "net/endpoint.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "shard/shard_map.h"
 #include "sparql/ast.h"
@@ -37,15 +36,11 @@ struct ShardedEndpointOptions {
   /// cached verdicts (routing by subject still applies).
   cache::FederationCache* cache = nullptr;
 
-  /// Pool the scatter requests run on. Must NOT be a pool whose workers
-  /// can block inside ShardedEndpoint::Query* (the scatter-gather caller
-  /// waits for its fan-out futures, so sharing the federation's request
-  /// pool would deadlock under load). Null means the endpoint owns a
-  /// private pool of `own_pool_threads` workers.
-  ThreadPool* pool = nullptr;
-
-  /// Worker count for the private pool (0 = ThreadPool's default,
-  /// max(8, hardware concurrency)).
+  /// Worker count of the endpoint's own scatter pool (0 = ThreadPool's
+  /// default, max(8, hardware concurrency)). The pool is private: the
+  /// scatter-gather caller waits for its fan-out futures, so sharing a
+  /// pool whose workers can block inside ShardedEndpoint::Query* (the
+  /// federation's request pool) would deadlock under load.
   size_t own_pool_threads = 0;
 };
 
@@ -59,12 +54,8 @@ struct ShardedEndpointStats {
   uint64_t single_shard_queries = 0;  ///< Whole query routed to one shard.
   uint64_t ask_short_circuits = 0;    ///< ASK answered from cached verdicts
                                       ///< with zero member requests.
-  uint64_t broadcast_fallbacks = 0;   ///< Non-decomposable query texts
-                                      ///< broadcast wholesale to all shards.
   uint64_t partial_queries = 0;       ///< Queries that dropped >= 1 member.
   uint64_t shard_failures = 0;        ///< Member requests that failed.
-
-  obs::JsonValue ToJson() const;
 };
 
 /// N shards of one logical endpoint behind a single net::Endpoint facade
@@ -89,12 +80,14 @@ struct ShardedEndpointStats {
 /// the scattered verdicts back per member; single-star COUNT(*) probes
 /// scatter the count itself and sum, through the COUNT tier.
 ///
-/// Queries whose body the decomposer does not cover (nested OPTIONAL,
-/// UNION alternatives beyond flat BGPs, unparseable text) are broadcast
-/// wholesale to every shard and unioned — exact for single-star bodies;
-/// for Lusail's multi-star locality checks the per-shard evaluation can
-/// only *over*-report counterexamples, which costs pushdown, never
-/// correctness.
+/// Every group the parser accepts is planned this way, at any depth:
+/// nested groups (OPTIONAL bodies, UNION alternatives, EXISTS bodies)
+/// get their own stars and tail, are evaluated on their own and are
+/// combined by core::CombineGroup. An OPTIONAL's FILTERs over its
+/// enclosing group's variables are its left-join condition, checked at
+/// the gather; any other nested group that reads a variable of its
+/// enclosing group gets the combiner's kUnsupported, as on every
+/// federator path.
 ///
 /// Thread-safe; the caller's CancelToken/deadline is threaded through
 /// every member request.
@@ -144,10 +137,6 @@ class ShardedEndpoint : public net::Endpoint {
 
   ShardedEndpointStats stats() const;
 
-  /// Endpoint counters plus a per-member section (id, addresses implied
-  /// by the inner endpoint, request/failure counts).
-  obs::JsonValue StatsJson() const;
-
   /// Emits lusail_shard_* counters labelled {endpoint=<logical id>}.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
 
@@ -167,7 +156,7 @@ class ShardedEndpoint : public net::Endpoint {
 
   /// One group's stars, and what the gather runs after joining them
   /// (core::CombineGroup over `tail`). Nested groups (OPTIONAL bodies,
-  /// UNION alternatives, EXISTS bodies) are flat and planned the same way.
+  /// UNION alternatives, EXISTS bodies) are planned the same way.
   struct Plan {
     const sparql::GraphPattern* pattern = nullptr;  ///< The group planned.
     std::vector<StarGroup> stars;
@@ -175,11 +164,8 @@ class ShardedEndpoint : public net::Endpoint {
     std::vector<Plan> nested;
   };
 
-  /// Builds a plan for `pattern`; false when the shape is outside the
-  /// decomposer (caller falls back to broadcast). `top_level` admits
-  /// OPTIONAL/UNION/EXISTS blocks; nested blocks must be flat BGPs.
-  bool BuildPlan(const sparql::GraphPattern& pattern, bool top_level,
-                 Plan* plan);
+  /// Plans `pattern` and, recursively, its nested groups.
+  static void BuildPlan(const sparql::GraphPattern& pattern, Plan* plan);
 
   /// Routes every star of `plan` (and nested plans), filling
   /// StarGroup::shards and counting pruned pairs.
@@ -210,9 +196,6 @@ class ShardedEndpoint : public net::Endpoint {
   Result<net::QueryResponse> ExecuteAsk(const sparql::Query& query,
                                         const CancelToken& cancel,
                                         ScatterContext* ctx);
-  Result<net::QueryResponse> Broadcast(const sparql::Query& query,
-                                       const CancelToken& cancel,
-                                       ScatterContext* ctx);
   Result<net::QueryResponse> ScatterCount(const sparql::Query& query,
                                           const StarGroup& star,
                                           const CancelToken& cancel,
@@ -247,8 +230,6 @@ class ShardedEndpoint : public net::Endpoint {
   std::vector<std::shared_ptr<net::Endpoint>> members_;
   std::vector<std::string> member_ids_;
   ShardedEndpointOptions options_;
-  std::unique_ptr<ThreadPool> own_pool_;
-  ThreadPool* pool_ = nullptr;
   std::shared_ptr<core::TermDictionary> dict_;
 
   std::atomic<uint64_t> queries_{0};
@@ -256,11 +237,11 @@ class ShardedEndpoint : public net::Endpoint {
   std::atomic<uint64_t> pruned_shards_{0};
   std::atomic<uint64_t> single_shard_queries_{0};
   std::atomic<uint64_t> ask_short_circuits_{0};
-  std::atomic<uint64_t> broadcast_fallbacks_{0};
   std::atomic<uint64_t> partial_queries_{0};
   std::atomic<uint64_t> shard_failures_{0};
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> member_requests_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> member_failures_;
+  // Declared last: destroyed first, so no scatter task outlives the
+  // members and counters it uses.
+  ThreadPool pool_;
 };
 
 }  // namespace lusail::shard

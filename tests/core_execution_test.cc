@@ -626,5 +626,23 @@ TEST(SapeProfileTest, SingleSubqueryPlanRecordsPeakRows) {
             result->table.rows.size());
 }
 
+TEST(SapeProfileTest, RowsReceivedCountsOnlyBindingFetches) {
+  // Q1 on two universities is answered by one whole-query fetch of 27
+  // rows; the rows of its ASK probes and checks are not binding rows.
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = 2;
+  auto federation = workload::BuildFederation(
+      workload::LubmGenerator(config).GenerateAll(),
+      net::LatencyModel::None());
+  LusailEngine engine(federation.get());
+  auto result = engine.Execute(workload::LubmGenerator::Q1());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->profile.ask_requests, 0u);
+  EXPECT_EQ(result->profile.rows_received, 27u);
+  EXPECT_EQ(result->profile.rows_received,
+            result->profile.peak_intermediate_rows);
+  EXPECT_GT(result->profile.first_row_ms, 0.0);
+}
+
 }  // namespace
 }  // namespace lusail::core

@@ -590,7 +590,8 @@ TEST(FederationBreakerTest, RepeatedFailuresTripTheSharedBreaker) {
   retry.max_backoff_ms = 0.2;
   fed::MetricsCollector metrics;
   for (int i = 0; i < 6; ++i) {
-    auto r = chaos->faulty.Execute(0, "ASK { ?s ?p ?o . }", &metrics,
+    auto r = chaos->faulty.Execute(0, "ASK { ?s ?p ?o . }",
+                                   fed::RequestKind::kAsk, &metrics,
                                    Deadline(), &retry);
     EXPECT_FALSE(r.ok());
   }

@@ -239,8 +239,8 @@ TEST_F(SourceSelectionTest, DeadlineExpiryYieldsTimeout) {
 
 TEST_F(SourceSelectionTest, FederationExecuteValidatesIndex) {
   MetricsCollector metrics;
-  auto result = federation_->Execute(99, "ASK { ?s ?p ?o . }", &metrics,
-                                     Deadline());
+  auto result = federation_->Execute(99, "ASK { ?s ?p ?o . }",
+                                     RequestKind::kAsk, &metrics, Deadline());
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -272,14 +272,21 @@ TEST(LooksLikeAskQueryTest, TolerantOfWhitespaceCommentsAndPrefixes) {
 }
 
 TEST_F(SourceSelectionTest, PrefixedAskCountsAsAskRequest) {
+  // The caller's request kind, not the text, decides the accounting: an
+  // ASK probe counts as an ASK request, and its verdict row is not a
+  // binding row.
   MetricsCollector metrics;
   auto result = federation_->Execute(
-      0, "# source probe\nASK { ?s <http://p> ?o . }", &metrics, Deadline());
+      0, "# source probe\nASK { ?s <http://p> ?o . }", RequestKind::kAsk,
+      &metrics, Deadline());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->NumRows(), 1u);
   ExecutionProfile profile;
   metrics.FillCounters(&profile);
   EXPECT_EQ(profile.requests, 1u);
   EXPECT_EQ(profile.ask_requests, 1u);
+  EXPECT_EQ(profile.rows_received, 0u);
+  EXPECT_EQ(profile.first_row_ms, 0.0);
 }
 
 }  // namespace

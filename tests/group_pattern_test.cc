@@ -198,8 +198,8 @@ TEST_F(GroupPatternTest, CorrelatedNestedGroupsAreUnsupported) {
   for (const char* body : {
            // A UNION alternative's FILTER reads ?n, bound outside it.
            "{ ?x :p ?n . { ?x :a ?t FILTER(?n != ?t) } UNION { ?x :a ?t } }",
-           // So does an OPTIONAL body's.
-           "{ ?x :p ?n . OPTIONAL { ?x :a ?t FILTER(?n != ?t) } }",
+           // An OPTIONAL body's nested OPTIONAL would bind ?n on its own.
+           "{ ?x :p ?n . OPTIONAL { ?x :a ?t OPTIONAL { ?t :b ?n } } }",
            // An EXISTS body's OPTIONAL would bind ?n on its own.
            "{ ?x :p ?n . FILTER EXISTS { ?x :a ?t OPTIONAL { ?t :b ?n } } }",
        }) {
@@ -216,6 +216,34 @@ TEST_F(GroupPatternTest, CorrelatedNestedGroupsAreUnsupported) {
   auto out = CombineGroup(bgp, GroupTail::Of(bound), Canned(), &dict_);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(nested_calls_, 1);
+}
+
+TEST_F(GroupPatternTest, OptionalFilterOverOuterVariableIsALeftJoinCondition) {
+  // The first FILTER reads the enclosing ?n: it is checked on each joined
+  // pair. The second reads only ?t and stays in the body.
+  sparql::GraphPattern group = Group(
+      "{ ?x :p ?n . OPTIONAL { ?x :a ?t FILTER(?n != ?t) "
+      "FILTER(?t != :t9) } }");
+  GroupTail tail = GroupTail::Of(group);
+  ASSERT_EQ(tail.left_joins.size(), 1u);
+  EXPECT_EQ(tail.left_joins.begin()->second->condition.size(), 1u);
+  EXPECT_EQ(tail.OptionalBody(group.optionals[0]).filters.size(), 1u);
+
+  IdTable bgp({"x", "n"});
+  bgp.AppendRow({Id("x1"), Id("t1")});  // Its one partner fails.
+  bgp.AppendRow({Id("x2"), Id("t1")});  // One of two partners passes.
+  bgp.AppendRow({Id("x3"), Id("n3")});  // No partner.
+  canned_["a"] = IdTable({"x", "t"});
+  canned_["a"].AppendRow({Id("x1"), Id("t1")});
+  canned_["a"].AppendRow({Id("x2"), Id("t1")});
+  canned_["a"].AppendRow({Id("x2"), Id("t2")});
+  auto out = CombineGroup(bgp, tail, Canned(), &dict_);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(nested_calls_, 1);
+  EXPECT_EQ(Rows(*out, {"x", "n", "t"}),
+            (std::multiset<std::string>{"x=x1,n=t1,t=UNDEF,",
+                                        "x=x2,n=t1,t=t2,",
+                                        "x=x3,n=n3,t=UNDEF,"}));
 }
 
 TEST_F(GroupPatternTest, EmptySolutionsEvaluateNoNestedGroup) {

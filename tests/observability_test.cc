@@ -220,7 +220,9 @@ TEST(MetricsCollectorTest, SubMillisecondNetworkTimeAccumulates) {
   fed::MetricsCollector metrics;
   net::QueryResponse response;
   response.network_ms = 0.0006;  // 0.6 us -> rounds to 1 us.
-  for (int i = 0; i < 1000; ++i) metrics.RecordRequest(response, false);
+  for (int i = 0; i < 1000; ++i) {
+    metrics.RecordRequest(response, fed::RequestKind::kFetch);
+  }
   fed::ExecutionProfile profile;
   metrics.FillCounters(&profile);
   EXPECT_NEAR(profile.network_ms, 1.0, 1e-9);
@@ -238,7 +240,8 @@ TEST(MetricsCollectorTest, ConcurrentRecordingIsExact) {
       response.response_bytes = 100;
       response.network_ms = 0.25;
       for (int i = 0; i < kPerThread; ++i) {
-        metrics.RecordRequest(response, /*is_ask=*/i % 2 == 0);
+        metrics.RecordRequest(response, i % 2 == 0 ? fed::RequestKind::kAsk
+                                                   : fed::RequestKind::kFetch);
         if (i == 0) {
           metrics.RecordEndpointDropped("ep" + std::to_string(t));
         }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -476,8 +477,46 @@ TEST_F(ShardedEndpointTest, LubmGroupPatternsMatchOracle) {
            "FILTER EXISTS { ?x ub:advisor ?a } }",
            "SELECT ?x WHERE { ?x ub:memberOf ?d . "
            "FILTER NOT EXISTS { ?x ub:advisor ?a } }",
+           // Nested groups of any shape are planned like the top level:
+           // an OPTIONAL inside a UNION alternative, and an OPTIONAL
+           // inside an OPTIONAL under a residual FILTER.
+           "SELECT ?x ?n WHERE { ?x ub:advisor ?a . { ?a ub:name ?n } "
+           "UNION { ?a ub:emailAddress ?n "
+           "OPTIONAL { ?a ub:telephone ?t } } }",
+           "ASK { ?x ub:advisor ?a . OPTIONAL { ?a ub:name ?n . "
+           "OPTIONAL { ?a ub:emailAddress ?e } } FILTER(!BOUND(?n)) }",
+           // An OPTIONAL's FILTER over its enclosing group's variables is
+           // the left join's condition: on the host's own star, and
+           // across stars (about half the students take a course of
+           // their advisor's).
+           "SELECT ?x ?n ?e WHERE { ?x ub:name ?n "
+           "OPTIONAL { ?x ub:emailAddress ?e FILTER(?e != ?n) } }",
+           "SELECT ?x ?c ?t WHERE { ?x ub:advisor ?a . ?x ub:takesCourse ?c "
+           "OPTIONAL { ?a ub:teacherOf ?t FILTER(?t = ?c) } }",
        }) {
     ExpectRowIdentical(ub + body);
+  }
+}
+
+TEST_F(ShardedEndpointTest, CorrelatedNestedGroupsAreUnsupported) {
+  // A nested group that reads a variable of its enclosing group has no
+  // exact answer when evaluated on its own: it is refused, not answered
+  // with the rows of one shard at a time.
+  LoadThreeUniversities();
+  const std::string ub =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+  for (const char* body : {
+           "SELECT ?x ?a WHERE { ?x ub:advisor ?a . "
+           "{ ?a a ub:FullProfessor . FILTER(?x != ?a) } UNION "
+           "{ ?a a ub:AssociateProfessor . FILTER(?x != ?a) } }",
+           "SELECT ?x ?a WHERE { ?x ub:advisor ?a . FILTER NOT EXISTS "
+           "{ ?a a ub:FullProfessor . FILTER(?x != ?a) } }",
+       }) {
+    const std::string text = ub + body;
+    ASSERT_TRUE(oracle_->Query(text).ok()) << text;
+    auto actual = sharded_->Query(text);
+    ASSERT_FALSE(actual.ok()) << text;
+    EXPECT_EQ(actual.status().code(), StatusCode::kUnsupported) << text;
   }
 }
 
@@ -578,6 +617,79 @@ TEST_F(ShardedEndpointTest, CountAggregateSumsAcrossShards) {
   ASSERT_EQ(table.rows.size(), 1u);
   ASSERT_TRUE(table.rows[0][0].has_value());
   EXPECT_EQ(table.rows[0][0]->lexical(), "20");
+}
+
+/// Member answering every query with one canned one-row table: a COUNT
+/// cell as an endpoint may write it, signed ("+7") or in scientific
+/// notation ("1.2e3"), or malformed.
+class CannedCountMember : public net::Endpoint {
+ public:
+  CannedCountMember(std::string id, std::vector<std::string> vars,
+                    std::vector<std::optional<rdf::Term>> row)
+      : id_(std::move(id)) {
+    table_.vars = std::move(vars);
+    table_.rows.push_back(std::move(row));
+  }
+  const std::string& id() const override { return id_; }
+  Result<net::QueryResponse> Query(const std::string&) override {
+    net::QueryResponse response;
+    response.table = table_;
+    return response;
+  }
+
+ private:
+  std::string id_;
+  sparql::ResultTable table_;
+};
+
+TEST_F(ShardedEndpointTest, CountLiteralFormsSum) {
+  std::vector<std::shared_ptr<net::Endpoint>> members;
+  for (size_t i = 0; i < map_.NumShards(); ++i) {
+    members.push_back(std::make_shared<CannedCountMember>(
+        "ex#" + std::to_string(i), std::vector<std::string>{"n"},
+        std::vector<std::optional<rdf::Term>>{
+            rdf::Term::Literal(i % 2 == 0 ? "+7" : "1.2e3")}));
+  }
+  shard::ShardedEndpoint sharded("ex", map_, members,
+                                 shard::ShardedEndpointOptions{});
+  auto response = sharded.Query(
+      "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p> ?o . }");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  sparql::ResultTable table = ResponseTable(*response);
+  ASSERT_EQ(table.rows.size(), 1u);
+  ASSERT_TRUE(table.rows[0][0].has_value());
+  EXPECT_EQ(table.rows[0][0]->lexical(), "2414");  // 2 * 7 + 2 * 1200.
+}
+
+TEST_F(ShardedEndpointTest, MalformedCountCellFails) {
+  // A count the shard cannot read would enter the answer (and the COUNT
+  // tier) as 0; it fails the query instead.
+  struct Reply {
+    std::vector<std::string> vars;
+    std::optional<rdf::Term> cell;
+  };
+  for (const Reply& reply : {
+           Reply{{"n"}, rdf::Term::Literal("many")},
+           Reply{{"n"}, rdf::Term::Literal("-3")},
+           Reply{{"n"}, rdf::Term::Iri("http://ex/7")},
+           Reply{{"n"}, std::nullopt},
+           Reply{{"m", "k"}, rdf::Term::Literal("7")},  // No ?n column.
+       }) {
+    std::vector<std::shared_ptr<net::Endpoint>> members;
+    for (size_t i = 0; i < map_.NumShards(); ++i) {
+      std::vector<std::optional<rdf::Term>> row(reply.vars.size());
+      row[0] = reply.cell;
+      members.push_back(std::make_shared<CannedCountMember>(
+          "ex#" + std::to_string(i), reply.vars, std::move(row)));
+    }
+    shard::ShardedEndpoint sharded("ex", map_, members,
+                                   shard::ShardedEndpointOptions{});
+    auto response = sharded.Query(
+        "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/p> ?o . }");
+    ASSERT_FALSE(response.ok()) << reply.vars[0];
+    EXPECT_EQ(response.status().code(), StatusCode::kInternal)
+        << response.status().ToString();
+  }
 }
 
 TEST_F(ShardedEndpointTest, SubjectConstantRoutesToExactlyOneShard) {
@@ -796,6 +908,43 @@ TEST(ShardedFederationTest, LubmEngineRowsMatchUnshardedFederation) {
   EXPECT_EQ(CanonicalRows(actual->table), CanonicalRows(expected->table));
 }
 
+TEST(ShardedFederationTest, LusailPushedOptionalConditionMatchesOracle) {
+  // LADE pushes the OPTIONAL into the host subquery, so each sharded
+  // endpoint receives the OPTIONAL with its FILTER over the host's ?x:
+  // advisors outside department0 leave ?m unbound.
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = 2;
+  std::vector<workload::EndpointSpec> specs =
+      workload::LubmGenerator(config).GenerateAll();
+  std::vector<rdf::TermTriple> all;
+  fed::Federation sharded_fed;
+  shard::ShardMap map = shard::ShardMap::HashRing(4);
+  for (const auto& spec : specs) {
+    all.insert(all.end(), spec.triples.begin(), spec.triples.end());
+    sharded_fed.Add(std::make_shared<shard::ShardedEndpoint>(
+        spec.id, map, ShardMembers(spec.triples, map, spec.id)));
+  }
+  net::SparqlEndpoint oracle("oracle", StoreOf(all),
+                             net::LatencyModel::None());
+  const std::string text =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT ?x ?m WHERE { ?x ub:advisor ?a OPTIONAL { ?a ub:name ?m "
+      "FILTER(CONTAINS(STR(?x), \"department0.\")) } }";
+  auto expected = oracle.Query(text);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  core::LusailEngine engine(&sharded_fed);
+  auto actual = engine.Execute(text);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_GE(actual->profile.pushed_optionals, 1u);
+  // The condition keeps some advisors' names and drops others.
+  size_t unbound = 0;
+  for (const auto& row : actual->table.rows) unbound += !row[1].has_value();
+  EXPECT_GT(unbound, 0u);
+  EXPECT_LT(unbound, actual->table.rows.size());
+  EXPECT_EQ(CanonicalRows(actual->table),
+            CanonicalRows(ResponseTable(*expected)));
+}
+
 // ---------------------------------------------------------------------
 // 4-shard loopback end-to-end: real sockets, mid-query shard kill
 // ---------------------------------------------------------------------
@@ -847,6 +996,27 @@ TEST_F(ShardLoopbackTest, ShardedLoopbackIsRowIdentical) {
         "SELECT ?s ?o ?c WHERE { ?s <http://ex/p> ?o . "
         "?s <http://ex/q> ?c . }",
         "SELECT ?o WHERE { <http://ex/s3> <http://ex/p> ?o . }"}) {
+    auto expected = oracle_->Query(text);
+    auto actual = sharded_->QueryWithDeadline(text,
+                                              Deadline::AfterMillis(20000));
+    ASSERT_TRUE(expected.ok()) << text << ": " << expected.status().ToString();
+    ASSERT_TRUE(actual.ok()) << text << ": " << actual.status().ToString();
+    EXPECT_EQ(CanonicalRows(ResponseTable(*actual)),
+              CanonicalRows(ResponseTable(*expected)))
+        << text;
+    EXPECT_TRUE(actual->degraded_members.empty());
+  }
+}
+
+TEST_F(ShardLoopbackTest, NestedGroupsOverSocketsAreRowIdentical) {
+  // Nested plan levels scatter over real sockets: a UNION alternative
+  // with a nested OPTIONAL, and an OPTIONAL under a left-join condition.
+  for (const char* text :
+       {"SELECT ?s ?o ?c WHERE { ?s <http://ex/p> ?o . "
+        "{ ?s <http://ex/q> <http://ex/cat0> } UNION "
+        "{ ?s <http://ex/q> ?c OPTIONAL { ?c <http://ex/p> ?z } } }",
+        "SELECT ?s ?o ?c WHERE { ?s <http://ex/p> ?o . "
+        "OPTIONAL { ?s <http://ex/q> ?c FILTER(?o > 10) } }"}) {
     auto expected = oracle_->Query(text);
     auto actual = sharded_->QueryWithDeadline(text,
                                               Deadline::AfterMillis(20000));

@@ -493,7 +493,8 @@ TEST(MetricsCollectorRaceTest, SnapshotsNeverShowRetriesAheadOfRequests) {
         net::RetryOutcome outcome;
         outcome.attempts = 2;
         outcome.retries = 1;
-        collector.RecordExchange(&response, false, outcome);
+        collector.RecordExchange(&response, fed::RequestKind::kFetch,
+                                 outcome);
       }
     });
   }
